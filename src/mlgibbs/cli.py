@@ -114,6 +114,22 @@ def _positive_int(value, key: str) -> int:
     return value
 
 
+def _seed_from_env(seed: int) -> int:
+    """The MLGIBBS_SEED environment variable if set, else seed."""
+    env_seed = os.environ.get("MLGIBBS_SEED")
+    if env_seed is None:
+        return seed
+    try:
+        seed = int(env_seed)
+    except ValueError:
+        raise ConfigError(
+            f"MLGIBBS_SEED must be an integer, got {env_seed!r}", field="seed"
+        ) from None
+    if not 0 <= seed < 2**64:
+        raise ConfigError("MLGIBBS_SEED must lie in [0, 2^64)", field="seed")
+    return seed
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -161,16 +177,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             "config field 'seed' must be an integer in [0, 2^64)", field="seed"
         )
-    env_seed = os.environ.get("MLGIBBS_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                f"MLGIBBS_SEED must be an integer, got {env_seed!r}", field="seed"
-            ) from None
-        if not 0 <= seed < 2**64:
-            raise ConfigError("MLGIBBS_SEED must lie in [0, 2^64)", field="seed")
+    seed = _seed_from_env(seed)
 
     statement_mode = raw.get("statement_mode", False)
     if not isinstance(statement_mode, bool):
@@ -493,9 +500,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _set_threads(getattr(args, "threads", None))
         if args.command == "diag":
-            env_seed = os.environ.get("MLGIBBS_SEED")
-            seed = int(env_seed) if env_seed is not None else 0
-            return cmd_diag(args.suite, seed, args.out)
+            return cmd_diag(args.suite, _seed_from_env(0), args.out)
         config = load_config(args.config)
         if args.command == "calibrate":
             return cmd_calibrate(config, args.out)

@@ -548,8 +548,10 @@ def strong_error_curve(
         streams = engine.make_streams(
             seed, [i * (1 << 20) + lane for lane in range(R)], model.dim
         )
+        # only the terminal positions are used, so a burn of n - 1 skips
+        # summing the observable at every step but the last
         _, ok, posf, posc = engine.coupled_diff_sums(
-            model, squared_norm, x0, gamma, sigma, n, 0, streams
+            model, squared_norm, x0, gamma, sigma, n, n - 1, streams
         )
         if not np.all(ok):
             raise NumericalOverflowError(

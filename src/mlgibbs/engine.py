@@ -9,6 +9,15 @@ therefore identical to a single-lane run.
 Models exposing a closed-form drift family and observables carrying a kernel
 code run through compiled kernels; anything else falls back to a vectorized
 numpy loop with the same draw order and update expressions.
+
+The numpy loop is bound by the per-call overhead of numpy on small arrays, so
+it keeps the number of calls per step low without changing a single float
+operation.  Each noise chunk is scaled once, in place, when it is drawn.  The
+coupled pair lives in one (2, R, d) array, fine lanes first: the fine
+half-step and the coarse step start from the same time, so one drift call and
+one observable call on its (2R, d) view serve both chains, and a shared noise
+increment is added to both with one call.  Like the lane batching, this
+relies on drift and observable maps acting on each row alone.
 """
 
 from __future__ import annotations
@@ -240,29 +249,33 @@ def _np_gradient(model: PotentialModel, pos: np.ndarray) -> np.ndarray:
     return np.asarray(model.gradient_fn(pos), dtype=float)
 
 
-def _np_occ_chunk(model, f_batch, pos, noise, gamma, snoise, k0, burn, acc):
-    n = noise.shape[1]
-    for kk in range(n):
+def _np_occ_chunk(model, f_batch, pos, noise, gamma, k0, burn, acc):
+    # noise arrives scaled by snoise; pos is updated in place
+    for kk in range(noise.shape[1]):
         if k0 + kk >= burn:
             acc += f_batch(pos)
-        g = _np_gradient(model, pos)
-        pos -= gamma * g
-        pos += snoise * noise[:, kk, :]
-    return pos
+        pos -= gamma * _np_gradient(model, pos)
+        pos += noise[:, kk, :]
 
 
-def _np_coupled_chunk(model, f_batch, posf, posc, noise, gamma, sfine, m0, burn, acc):
+def _np_coupled_chunk(model, f_batch, pair, noise, gamma, m0, burn, acc):
+    # pair is (2, R, d), fine lanes then coarse lanes, updated in place;
+    # noise arrives scaled by sfine.  Per coarse step this is the fine recursion
+    # (x - (gamma/2) g + inc1) - (gamma/2) g' + inc2 and the coarse one
+    # ((y - gamma g) + inc1) + inc2, operation for operation.
+    R, d = pair.shape[1:]
+    rows = pair.reshape(2 * R, d)
+    fine = pair[0]
     gfine = 0.5 * gamma
-    n = noise.shape[1]
-    for m in range(n):
+    steps = np.array([gfine, gamma]).reshape(2, 1, 1)
+    for m in range(noise.shape[1]):
         if m0 + m >= burn:
-            acc += f_batch(posf) - f_batch(posc)
-        inc1 = sfine * noise[:, m, 0, :]
-        inc2 = sfine * noise[:, m, 1, :]
-        posf = posf - gfine * _np_gradient(model, posf) + inc1
-        posf = posf - gfine * _np_gradient(model, posf) + inc2
-        posc = (posc - gamma * _np_gradient(model, posc) + inc1) + inc2
-    return posf, posc
+            v = f_batch(rows)
+            acc += v[:R] - v[R:]
+        pair -= steps * _np_gradient(model, rows).reshape(2, R, d)
+        pair += noise[:, m, 0, :]
+        fine -= gfine * _np_gradient(model, fine)
+        pair += noise[:, m, 1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +332,8 @@ def occupation_sums(
             _k_occ_chunk(pos, noise, gamma, snoise, fam, a, ridge, center,
                          code[0], code[1], k0, n_burn, acc)
         else:
-            pos = _np_occ_chunk(model, f_batch, pos, noise, gamma, snoise, k0, n_burn, acc)
+            noise *= snoise
+            _np_occ_chunk(model, f_batch, pos, noise, gamma, k0, n_burn, acc)
         k0 += n
     ok = np.isfinite(acc) & np.all(np.isfinite(pos), axis=1)
     return acc, ok, pos
@@ -347,8 +361,8 @@ def coupled_diff_sums(
         raise InvalidParameterError(
             f"empty averaging window: burn {n_burn} of {n_coarse} coarse steps"
         )
-    posf = _init_positions(x0, R, d)
-    posc = posf.copy()
+    start = _init_positions(x0, R, d)
+    pair = np.stack((start, start))  # fine, coarse
     acc = np.zeros(R)
     sfine = sigma * math.sqrt(0.5 * gamma)
     code = obs_code(f)
@@ -363,19 +377,14 @@ def coupled_diff_sums(
         noise = _draw_chunk(streams, 2 * n).reshape(R, n, 2, d)
         if fast:
             fam, a, ridge, center = cf
-            _k_coupled_chunk(posf, posc, noise, gamma, sfine, fam, a, ridge, center,
+            _k_coupled_chunk(pair[0], pair[1], noise, gamma, sfine, fam, a, ridge, center,
                              code[0], code[1], m0, n_burn, acc)
         else:
-            posf, posc = _np_coupled_chunk(
-                model, f_batch, posf, posc, noise, gamma, sfine, m0, n_burn, acc
-            )
+            noise *= sfine
+            _np_coupled_chunk(model, f_batch, pair, noise, gamma, m0, n_burn, acc)
         m0 += n
-    ok = (
-        np.isfinite(acc)
-        & np.all(np.isfinite(posf), axis=1)
-        & np.all(np.isfinite(posc), axis=1)
-    )
-    return acc, ok, posf, posc
+    ok = np.isfinite(acc) & np.all(np.isfinite(pair), axis=(0, 2))
+    return acc, ok, pair[0], pair[1]
 
 
 def pair_distance_series(

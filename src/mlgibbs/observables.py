@@ -35,7 +35,7 @@ def coordinate(k: int):
 def euclidean_norm(x):
     """Observable x -> |x|."""
     x = np.asarray(x)
-    return np.sqrt(np.sum(x * x, axis=-1))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 euclidean_norm._obs_code = (OBS_NORM, 0)
@@ -44,7 +44,7 @@ euclidean_norm._obs_code = (OBS_NORM, 0)
 def squared_norm(x):
     """Observable x -> |x|^2."""
     x = np.asarray(x)
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 squared_norm._obs_code = (OBS_NORM2, 0)
@@ -53,7 +53,7 @@ squared_norm._obs_code = (OBS_NORM2, 0)
 def fourth_norm(x):
     """Observable x -> |x|^4."""
     x = np.asarray(x)
-    s = np.sum(x * x, axis=-1)
+    s = np.add.reduce(x * x, axis=-1)
     return s * s
 
 

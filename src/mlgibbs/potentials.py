@@ -170,7 +170,7 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
 
     def value(x):
         diff = x - c
-        return 0.5 * scale * np.sum(diff * diff, axis=-1)
+        return 0.5 * scale * np.add.reduce(diff * diff, axis=-1)
 
     def gradient(x):
         return scale * (x - c)
@@ -199,10 +199,10 @@ def make_power(dim: int, p: float) -> PotentialModel:
         raise InvalidParameterError(f"p must lie in (1/2, 1], got {p}")
 
     def value(x):
-        return (1.0 + np.sum(x * x, axis=-1)) ** p
+        return (1.0 + np.add.reduce(x * x, axis=-1)) ** p
 
     def gradient(x):
-        s = np.sum(x * x, axis=-1)
+        s = np.add.reduce(x * x, axis=-1)
         w = 2.0 * p * (1.0 + s) ** (p - 1.0)
         return w[..., np.newaxis] * x
 
@@ -263,7 +263,7 @@ def penalize(base: PotentialModel, alpha: float) -> PotentialModel:
     base_gradient = base.gradient_fn
 
     def value(x):
-        return base_value(x) + 0.5 * alpha * np.sum(x * x, axis=-1)
+        return base_value(x) + 0.5 * alpha * np.add.reduce(x * x, axis=-1)
 
     def gradient(x):
         return base_gradient(x) + alpha * x

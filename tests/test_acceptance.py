@@ -77,9 +77,23 @@ def test_ridge_bias_within_the_quadrature_bound(capsys):
     )
 
 
+# the suite's printed gaps and slope at seed 0, recorded while the suite still
+# summed the observable at every coarse step; skipping those sums changes nothing
+STRONG_ERROR_LINES = (
+    "gamma=0.0625 gap=0.000253053 se=7.56e-06",
+    "gamma=0.03125 gap=6.35582e-05 se=1.97e-06",
+    "gamma=0.015625 gap=1.60741e-05 se=5.02e-07",
+    "gamma=0.0078125 gap=4.08003e-06 se=1.35e-07",
+    "gamma=0.00390625 gap=9.13538e-07 se=2.85e-08",
+    "gamma=0.00195312 gap=2.37934e-07 se=7.11e-09",
+    "slope=1.0088 band=[0.7, 1.3] (mean-square slope 2.0175)",
+)
+
+
 def test_coupling_gap_slope(capsys):
     result = diag_suites.run_suite("strong_error", 0)
     verdict(capsys, " 3/10 coupling gap slope", result.passed, result.lines[-2])
+    assert result.lines[:-1] == STRONG_ERROR_LINES
 
 
 def test_shared_noise_contraction(capsys):

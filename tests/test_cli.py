@@ -269,6 +269,14 @@ class TestDiagCommand:
     def test_unknown_suite_is_a_config_exit(self, capsys):
         assert cmd_diag("nonsense", 0) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_malformed_environment_seed_is_a_config_exit(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("MLGIBBS_SEED", value)
+        assert main(["diag", "moments"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: MLGIBBS_SEED")
+        assert "(field: seed)" in err
+
     def test_fast_suite_passes(self, capsys):
         assert cmd_diag("decreasing_penalty", 0) == EXIT_OK
         out = capsys.readouterr().out

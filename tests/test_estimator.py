@@ -67,12 +67,15 @@ class TestExactCosts:
 
     def test_gradient_calls_are_counted_exactly(self):
         """A model without closed form runs the interpreted engine, whose
-        python-level gradient invocations must equal the advertised cost."""
-        calls = {"n": 0}
+        gradient evaluations, one per point of each call, must equal the
+        advertised cost per lane."""
+        counted = {"calls": 0, "points": 0}
 
         def grad(x):
-            calls["n"] += 1
-            return np.asarray(x, dtype=float)
+            x = np.asarray(x, dtype=float)
+            counted["calls"] += 1
+            counted["points"] += x.shape[0] if x.ndim == 2 else 1
+            return x
 
         model = PotentialModel(
             1,
@@ -81,10 +84,22 @@ class TestExactCosts:
             ConvexityProfile(Convexity.STRONGLY_CONVEX, L=1.0, alpha=1.0),
             np.zeros(1),
         )
-        calls["n"] = 0
         sch = build_schedule(0.25, [8.0, 4.0])
-        multilevel_estimate(model, squared_norm, sch, 1.0, np.zeros(1), 3)
-        assert calls["n"] == cost_of(sch)
+        counts = sch.step_counts
+        # the fine half-step and the coarse step share one call
+        calls = counts[0] + 2 * sum(counts[1:])
+
+        def count(run):
+            counted.update(calls=0, points=0)
+            run()
+            return counted["calls"], counted["points"]
+
+        solo = count(lambda: multilevel_estimate(model, squared_norm, sch, 1.0, np.zeros(1), 3))
+        assert solo == (calls, cost_of(sch))
+        batch = count(
+            lambda: run_replicates(model, squared_norm, sch, 1.0, np.zeros(1), 3, [0, 1, 2])
+        )
+        assert batch == (calls, 3 * cost_of(sch))
 
 
 class TestReproducibility:
