@@ -14,6 +14,7 @@ from .calibration import (
     RegimeConstants,
     build_schedule,
     calibrate_penalized,
+    calibrate_single_level,
     calibrate_weak_i,
     calibrate_weak_ii,
     complexity_bound_penalized,
@@ -102,6 +103,7 @@ __all__ = [
     "RegimeConstants",
     "build_schedule",
     "calibrate_penalized",
+    "calibrate_single_level",
     "calibrate_weak_i",
     "calibrate_weak_ii",
     "check_gradient",

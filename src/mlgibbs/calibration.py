@@ -7,18 +7,21 @@ direct route applies under parametric weak convexity (curvature envelopes
 c * U^{-r}) and calibrates levels from the envelope constants.
 
 All schedules round horizons up to their level's coarse grid, so step counts
-and gradient-evaluation costs are exact integers.
+and gradient-evaluation costs are exact integers.  A target so tight that a
+derived ridge, step, horizon or step count leaves float range (epsilon^2
+underflows to zero) raises InfeasibleCalibrationError.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import InfeasibleCalibrationError, InvalidParameterError
-from .potentials import Convexity, ConvexityProfile
+from .potentials import _PARAMETRIC, Convexity, ConvexityProfile
 from .sde import grid_count_up
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "regime_constants",
     "build_schedule",
     "single_level_schedule",
+    "calibrate_single_level",
     "calibrate_penalized",
     "complexity_bound_penalized",
     "calibrate_weak_i",
@@ -37,9 +41,6 @@ __all__ = [
     "penalization_bias_bounds",
     "decreasing_penalization_gap",
 ]
-
-_PARAMETRIC = (Convexity.PARAMETRIC_LOWER, Convexity.PARAMETRIC_TWO_SIDED)
-
 
 @dataclass(frozen=True)
 class RegimeConstants:
@@ -188,6 +189,58 @@ def single_level_schedule(gamma0: float, horizon: float, tau: float = 0.0) -> Le
     return build_schedule(gamma0, [horizon], tau=tau, rho=0.0)
 
 
+@contextmanager
+def _within_float_range(epsilon: float):
+    # an underflowed epsilon^2 makes a schedule formula divide by zero, or
+    # take the ceiling or a power of an infinite ratio
+    try:
+        yield
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise InfeasibleCalibrationError(
+            f"accuracy epsilon={epsilon} puts the schedule beyond float range ({exc})"
+        ) from None
+
+
+def _require_in_range(epsilon: float, name: str, value: float):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InfeasibleCalibrationError(
+            f"accuracy epsilon={epsilon} gives {name}={value}, which is zero or "
+            "not finite"
+        )
+
+
+def _calibrated_schedule(epsilon: float, gamma0: float, horizons, rho: float) -> LevelSchedule:
+    """build_schedule for formula output, whose steps and step counts must be
+    positive and finite."""
+    J = len(horizons) - 1
+    _require_in_range(epsilon, "gamma0", gamma0)
+    _require_in_range(epsilon, f"gamma[{J}]", gamma0 * 2.0 ** (-J))
+    for j, t in enumerate(horizons):
+        grid = gamma0 * 2.0 ** (-max(j - 1, 0))
+        _require_in_range(epsilon, f"step count T[{j}]/gamma[{max(j - 1, 0)}]", t / grid)
+    return build_schedule(gamma0, horizons, tau=0.0, rho=rho)
+
+
+def calibrate_single_level(
+    epsilon: float, sigma: float, d: int, gamma0: float
+) -> LevelSchedule:
+    """Schedule of the plain time-average baseline at step gamma0.
+
+    One level over the horizon T = sigma^2 d max(1, log(1/gamma0)) epsilon^-2,
+    sized like the level-0 horizon of the direct route.
+    """
+
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
+    if not gamma0 > 0.0:
+        raise InvalidParameterError(f"gamma0 must be positive, got {gamma0}")
+    if sigma <= 0.0 or d < 1:
+        raise InvalidParameterError("sigma must be positive and d >= 1")
+    with _within_float_range(epsilon):
+        horizon = sigma**2 * d * max(1.0, math.log(1.0 / gamma0)) / epsilon**2
+    return _calibrated_schedule(epsilon, gamma0, [horizon], rho=0.0)
+
+
 @dataclass(frozen=True)
 class PenalizedPlan:
     """Ridge strength and level schedule of a penalized multilevel run."""
@@ -245,15 +298,19 @@ def calibrate_penalized(
         raise InvalidParameterError(f"d must be a positive integer, got {d}")
 
     alpha = 2.0 * epsilon / math.sqrt(m4)
-    if statement_mode:
-        gamma0 = epsilon / (math.sqrt(m4) * L * L)
-        J_raw = math.ceil(2.0 * math.log2(sigma * sigma * d * math.sqrt(m4) / epsilon**2))
-        rho = 1.0
-    else:
-        L_alpha = L + alpha
-        gamma0 = alpha / (2.0 * L_alpha * L_alpha)
-        J_raw = math.ceil(2.0 * math.log2(sigma * sigma * d / (alpha * epsilon)))
-        rho = 0.0
+    _require_in_range(epsilon, "alpha", alpha)
+    with _within_float_range(epsilon):
+        if statement_mode:
+            gamma0 = epsilon / (math.sqrt(m4) * L * L)
+            J_raw = math.ceil(
+                2.0 * math.log2(sigma * sigma * d * math.sqrt(m4) / epsilon**2)
+            )
+            rho = 1.0
+        else:
+            L_alpha = L + alpha
+            gamma0 = alpha / (2.0 * L_alpha * L_alpha)
+            J_raw = math.ceil(2.0 * math.log2(sigma * sigma * d / (alpha * epsilon)))
+            rho = 0.0
     if gamma0 > 1.0:
         raise InfeasibleCalibrationError(
             f"base step gamma0={gamma0} exceeds 1; the accuracy target is infeasible"
@@ -267,16 +324,17 @@ def calibrate_penalized(
             stacklevel=2,
         )
 
-    log_inv_gamma0 = math.log(1.0 / gamma0)
-    base = sigma * sigma * d * log_inv_gamma0
-    if statement_mode:
-        T_flat = base * m4 * epsilon**-5 * J * J * 2.0 ** (-J)
-        horizons = [T_flat] * (J + 1)
-    else:
-        T0 = base / (alpha * alpha * epsilon * epsilon)
-        horizons = [T0 * 2.0 ** (-j) for j in range(J + 1)]
+    with _within_float_range(epsilon):
+        log_inv_gamma0 = math.log(1.0 / gamma0)
+        base = sigma * sigma * d * log_inv_gamma0
+        if statement_mode:
+            T_flat = base * m4 * epsilon**-5 * J * J * 2.0 ** (-J)
+            horizons = [T_flat] * (J + 1)
+        else:
+            T0 = base / (alpha * alpha * epsilon * epsilon)
+            horizons = [T0 * 2.0 ** (-j) for j in range(J + 1)]
 
-    schedule = build_schedule(gamma0, horizons, tau=0.0, rho=rho)
+    schedule = _calibrated_schedule(epsilon, gamma0, horizons, rho)
     if schedule.T[J] < schedule.gamma[0]:
         raise InfeasibleCalibrationError(
             f"deepest horizon T_J={schedule.T[J]} fell below the base step "
@@ -366,21 +424,22 @@ def calibrate_weak_i(
     L, c_lo, r = profile.L, profile.c_lower, profile.r
     psi = constants.psi_bar
 
-    inner = (
-        L
-        / min(c_lo ** (2.0 / (1.0 - delta)), c_lo)
-        * psi ** (1.0 + (3.0 + delta) * r)
-        * gamma0
-        / (epsilon * epsilon)
-    )
-    J = max(1, math.ceil(math.log2(inner)))
-    T0 = (
-        max(c_lo ** -0.75, c_lo ** (-2.5 - delta))
-        * psi ** (1.5 + (4.5 + delta) * r)
-        / (epsilon * epsilon)
-    )
+    with _within_float_range(epsilon):
+        inner = (
+            L
+            / min(c_lo ** (2.0 / (1.0 - delta)), c_lo)
+            * psi ** (1.0 + (3.0 + delta) * r)
+            * gamma0
+            / (epsilon * epsilon)
+        )
+        J = max(1, math.ceil(math.log2(inner)))
+        T0 = (
+            max(c_lo ** -0.75, c_lo ** (-2.5 - delta))
+            * psi ** (1.5 + (4.5 + delta) * r)
+            / (epsilon * epsilon)
+        )
     horizons = [T0 * 2.0 ** (-0.5 * j) for j in range(J + 1)]
-    return build_schedule(gamma0, horizons, tau=0.0, rho=0.5)
+    return _calibrated_schedule(epsilon, gamma0, horizons, rho=0.5)
 
 
 def calibrate_weak_ii(
@@ -409,22 +468,23 @@ def calibrate_weak_ii(
     L, c_lo, r = profile.L, profile.c_lower, profile.r
     psi = constants.psi_bar
 
-    inner = (
-        c_lo ** (-2.0 / (1.0 - delta))
-        * L**3
-        * psi ** (1.0 + 2.0 * r / (1.0 - delta))
-        * gamma0
-        / epsilon
-    )
-    J = max(1, math.ceil(math.log2(inner)))
-    T0 = (
-        L ** (0.5 * rho)
-        * max(c_lo ** (-min(1.25 - rho, 3.0 * rho) + delta), c_lo ** (-2.5 - delta))
-        * psi ** (1.0 + (4.0 - 2.0 * rho + delta) * r)
-        / (epsilon * epsilon)
-    )
+    with _within_float_range(epsilon):
+        inner = (
+            c_lo ** (-2.0 / (1.0 - delta))
+            * L**3
+            * psi ** (1.0 + 2.0 * r / (1.0 - delta))
+            * gamma0
+            / epsilon
+        )
+        J = max(1, math.ceil(math.log2(inner)))
+        T0 = (
+            L ** (0.5 * rho)
+            * max(c_lo ** (-min(1.25 - rho, 3.0 * rho) + delta), c_lo ** (-2.5 - delta))
+            * psi ** (1.0 + (4.0 - 2.0 * rho + delta) * r)
+            / (epsilon * epsilon)
+        )
     horizons = [T0 * 2.0 ** (-(1.0 - rho) * j) for j in range(J + 1)]
-    return build_schedule(gamma0, horizons, tau=0.0, rho=rho)
+    return _calibrated_schedule(epsilon, gamma0, horizons, rho=rho)
 
 
 def complexity_bound_weak(

@@ -28,11 +28,11 @@ from .calibration import (
     PenalizedPlan,
     build_schedule,
     calibrate_penalized,
+    calibrate_single_level,
     calibrate_weak_i,
     calibrate_weak_ii,
     complexity_bound_weak,
     regime_constants,
-    single_level_schedule,
 )
 from .diagnostics import (
     MSE_CSV_HEADER,
@@ -50,7 +50,13 @@ from .errors import (
 )
 from .estimator import cost_of
 from .observables import parse_observable
-from .potentials import Convexity, PotentialModel, make_power, make_quadratic, penalize
+from .potentials import (
+    _PARAMETRIC,
+    PotentialModel,
+    make_power,
+    make_quadratic,
+    penalize,
+)
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
 
@@ -250,10 +256,7 @@ def build_model(config: ExperimentConfig) -> PotentialModel:
 
 
 def _require_parametric(model: PotentialModel, method: str):
-    if model.profile.kind not in (
-        Convexity.PARAMETRIC_LOWER,
-        Convexity.PARAMETRIC_TWO_SIDED,
-    ):
+    if model.profile.kind not in _PARAMETRIC:
         raise ConfigError(
             f"method {method!r} needs a curvature envelope constant c_lower, "
             "which this potential does not provide",
@@ -275,16 +278,13 @@ class RunSetup:
 
 def _single_level_setup(config, model, epsilon) -> LevelSchedule:
     # baseline comparator: step bounded by the admissible range and the
-    # accuracy, horizon sized like the level-0 horizon of the direct route
-    if model.profile.kind in (Convexity.PARAMETRIC_LOWER, Convexity.PARAMETRIC_TWO_SIDED):
+    # accuracy
+    if model.profile.kind in _PARAMETRIC:
         bound = regime_constants(model.profile, model.dim, config.sigma, config.c_r).gamma_star
     else:
         bound = 1.0 / (4.0 * model.profile.L)
     gamma0 = config.gamma0 if config.gamma0 is not None else min(bound, epsilon)
-    horizon = (
-        config.sigma**2 * model.dim * max(1.0, math.log(1.0 / gamma0)) / epsilon**2
-    )
-    return single_level_schedule(gamma0, horizon, tau=0.0)
+    return calibrate_single_level(epsilon, config.sigma, model.dim, gamma0)
 
 
 def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> RunSetup:

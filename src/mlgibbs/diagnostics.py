@@ -9,6 +9,10 @@ standard error and comparisons are made at stated multiples of it.
 
 Bounds proven for the continuous-time process are probed through fine-step
 Euler proxies; SLACK_FRACTION is the slack multiplier those probes add.
+
+scipy.integrate is imported inside the two functions that integrate, not
+here: it costs more than the rest of the package's import together, and
+closed-form references, calibration and the simulation never need it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
 
 from . import engine
 from .calibration import (
@@ -35,7 +38,7 @@ from .errors import (
 )
 from .estimator import run_replicates
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
-from .potentials import FAMILY_QUADRATIC, Convexity, PotentialModel
+from .potentials import _PARAMETRIC, FAMILY_QUADRATIC, PotentialModel
 from .sde import _check_step_size, grid_count_up
 
 __all__ = [
@@ -212,6 +215,8 @@ def _bracket(g: Callable, center: float, one_sided: bool = False) -> Tuple[float
 
 
 def _quad(g: Callable, a: float, b: float, epsrel: float) -> Tuple[float, float]:
+    from scipy.integrate import IntegrationWarning, quad
+
     # absolute floor keeps integrals of odd functions (true value 0)
     # convergent, where a pure relative tolerance can never be met
     with warnings.catch_warnings():
@@ -338,7 +343,7 @@ def fourth_moment_reference(
 
 def _step_bound(model: PotentialModel) -> float:
     p = model.profile
-    if p.kind in (Convexity.PARAMETRIC_LOWER, Convexity.PARAMETRIC_TWO_SIDED):
+    if p.kind in _PARAMETRIC:
         return regime_constants(p, model.dim, 1.0).gamma_star
     return 1.0 / (4.0 * p.L)
 
@@ -426,6 +431,8 @@ def w1_distance_1d(
 
 
 def _normalized_cdf(w: Callable, xs: np.ndarray) -> np.ndarray:
+    from scipy.integrate import cumulative_trapezoid
+
     dens = np.asarray(w(xs), dtype=float)
     cdf = cumulative_trapezoid(dens, xs, initial=0.0)
     total = cdf[-1]

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalOverflowError
-from .potentials import Convexity, PotentialModel
+from .potentials import _PARAMETRIC, PotentialModel
 
 __all__ = [
     "NoiseStream",
@@ -35,8 +35,6 @@ __all__ = [
     "simulate_coupled",
     "occupation_average",
 ]
-
-_PARAMETRIC = (Convexity.PARAMETRIC_LOWER, Convexity.PARAMETRIC_TWO_SIDED)
 
 # Relative slack when snapping times to a step grid; absorbs float
 # representation error in quantities like 0.3 / 0.1.

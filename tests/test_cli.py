@@ -299,6 +299,22 @@ class TestMainEntry:
         assert main(["calibrate", "--config", path]) == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-150])
+    @pytest.mark.parametrize("method", ["penalized", "weak_i", "weak_ii", "single_level"])
+    def test_epsilon_beyond_float_range_exits_three(self, method, epsilon, tmp_path, capsys):
+        # epsilon^2 underflows: schedule formulas divide by zero, or their
+        # horizons and step counts come out infinite
+        raw = base_config(
+            potential={"name": "power", "dim": 1, "p": 0.75},
+            method=method,
+            epsilon=epsilon,
+        )
+        path = write_config(tmp_path, raw)
+        assert main(["calibrate", "--config", path]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible calibration:")
+
     def test_run_round_trip_through_main(self, tmp_path, capsys):
         raw = base_config(method="single_level", epsilon=0.5, replicates=5)
         path = write_config(tmp_path, raw)
