@@ -30,6 +30,7 @@ __all__ = [
     "PenalizedPlan",
     "BiasBounds",
     "regime_constants",
+    "step_bound",
     "build_schedule",
     "single_level_schedule",
     "calibrate_single_level",
@@ -86,6 +87,15 @@ def regime_constants(
     if psi_bar < d:
         raise InvalidParameterError("computed moment scale fell below the dimension")
     return RegimeConstants(gamma_star=gamma_star, psi_bar=psi_bar, c_r=c_r)
+
+
+def step_bound(profile: ConvexityProfile, d: int, sigma: float, c_r: float = 1.0) -> float:
+    """Largest admissible Euler step: gamma_star of regime_constants for a
+    parametric profile, 1 / (4L) otherwise."""
+
+    if profile.kind in _PARAMETRIC:
+        return regime_constants(profile, d, sigma, c_r).gamma_star
+    return 1.0 / (4.0 * profile.L)
 
 
 @dataclass(frozen=True)

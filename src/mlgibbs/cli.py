@@ -33,6 +33,7 @@ from .calibration import (
     calibrate_weak_ii,
     complexity_bound_weak,
     regime_constants,
+    step_bound,
 )
 from .diagnostics import (
     MSE_CSV_HEADER,
@@ -196,9 +197,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "config field 'tau' must be a nonnegative number", field="tau"
         )
 
+    sigma = _positive_real(_need(raw, "sigma"), "sigma")
+    if not (sigma * sigma > 0.0 and math.isfinite(sigma * sigma)):
+        # the invariant density exp(-2 U / sigma^2) needs a usable sigma^2
+        raise ConfigError(
+            f"config field 'sigma' must have a positive, finite square, got {sigma!r}",
+            field="sigma",
+        )
+
     return ExperimentConfig(
         potential=dict(pot),
-        sigma=_positive_real(_need(raw, "sigma"), "sigma"),
+        sigma=sigma,
         epsilon=epsilon,
         epsilons=epsilons,
         method=method,
@@ -279,10 +288,7 @@ class RunSetup:
 def _single_level_setup(config, model, epsilon) -> LevelSchedule:
     # baseline comparator: step bounded by the admissible range and the
     # accuracy
-    if model.profile.kind in _PARAMETRIC:
-        bound = regime_constants(model.profile, model.dim, config.sigma, config.c_r).gamma_star
-    else:
-        bound = 1.0 / (4.0 * model.profile.L)
+    bound = step_bound(model.profile, model.dim, config.sigma, config.c_r)
     gamma0 = config.gamma0 if config.gamma0 is not None else min(bound, epsilon)
     return calibrate_single_level(epsilon, config.sigma, model.dim, gamma0)
 

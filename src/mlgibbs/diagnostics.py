@@ -30,6 +30,7 @@ from .calibration import (
     PenalizedPlan,
     decreasing_penalization_gap,
     regime_constants,
+    step_bound,
 )
 from .errors import (
     InvalidParameterError,
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .estimator import run_replicates
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
-from .potentials import _PARAMETRIC, FAMILY_QUADRATIC, PotentialModel
+from .potentials import FAMILY_QUADRATIC, PotentialModel
 from .sde import _check_step_size, grid_count_up
 
 __all__ = [
@@ -341,13 +342,6 @@ def fourth_moment_reference(
     return reference_for(model, fourth_norm, sigma, seed)
 
 
-def _step_bound(model: PotentialModel) -> float:
-    p = model.profile
-    if p.kind in _PARAMETRIC:
-        return regime_constants(p, model.dim, 1.0).gamma_star
-    return 1.0 / (4.0 * p.L)
-
-
 def long_run_reference(
     model: PotentialModel,
     f: Callable,
@@ -365,7 +359,7 @@ def long_run_reference(
 
     if sigma <= 0.0:
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    bound = _step_bound(model)
+    bound = step_bound(model.profile, model.dim, 1.0)
     gamma = bound / 64.0
     n_total = grid_count_up(1e5 * bound, gamma)
     n_burn = n_total // 10

@@ -12,17 +12,23 @@ numpy loop with the same draw order and update expressions.
 
 The numpy loop is bound by the per-call overhead of numpy on small arrays, so
 it keeps the number of calls per step low without changing a single float
-operation.  Each noise chunk is scaled once, in place, when it is drawn.  The
-coupled pair lives in one (2, R, d) array, fine lanes first: the fine
-half-step and the coarse step start from the same time, so one drift call and
-one observable call on its (2R, d) view serve both chains, and a shared noise
-increment is added to both with one call.  Like the lane batching, this
-relies on drift and observable maps acting on each row alone.
+operation.  Each lane's Gaussians are drawn straight into its row of the
+chunk buffer, and the chunk is scaled once, in place.  The coupled pair lives
+in one (2, R, d) array, fine lanes first: the fine half-step and the coarse
+step start from the same time, so one drift call on its (2R, d) view serves
+both chains, and a shared noise increment is added to both with one call.
+Steps run in blocks of _BLOCK: each step writes its positions into the next
+slot of a small trajectory buffer, and the observable is evaluated once per
+block on the slots past burn-in.  Its values are added into the sums with
+np.add.accumulate, which adds strictly in step order, so the sums carry the
+bits of one addition per step.  Like the lane batching, this relies on drift
+and observable maps acting on each row alone.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +55,10 @@ except ImportError:  # pragma: no cover
 
     prange = range  # type: ignore
 
+BACKEND = "numba" if HAVE_NUMBA else "numpy"
+
 __all__ = [
+    "BACKEND",
     "occupation_sums",
     "coupled_diff_sums",
     "pair_distance_series",
@@ -61,6 +70,8 @@ __all__ = [
 _CHUNK_TARGET = 1 << 19
 _CHUNK_MIN = 256
 _CHUNK_MAX = 65536
+# numpy fallback steps per observable call
+_BLOCK = 64
 
 
 def _chunk_steps(R: int, d: int) -> int:
@@ -72,8 +83,12 @@ def make_streams(seed: int, stream_ids: Sequence[int], dim: int) -> List[NoiseSt
 
 
 def _draw_chunk(streams: List[NoiseStream], count: int) -> np.ndarray:
-    # (R, count, d); per-lane draws are sequential so chunking is neutral
-    return np.stack([s.normals(count) for s in streams])
+    # (R, count, d), each lane drawn straight into its row; per-lane draws
+    # are sequential so chunking is neutral
+    noise = np.empty((len(streams), count, streams[0].dim))
+    for s, row in zip(streams, noise):
+        s.normals(count, row)
+    return noise
 
 
 def _closed_form_args(model: PotentialModel):
@@ -91,8 +106,15 @@ def _batched_observable(f: Callable, dim: int) -> Callable[[np.ndarray], np.ndar
         out = np.asarray(f(probe), dtype=float)
         if out.shape == (2,):
             return lambda x: np.asarray(f(x), dtype=float)
-    except Exception:
-        pass
+    except (TypeError, ValueError, IndexError):
+        pass  # the errors a scalar-only f raises on a batch
+    name = getattr(f, "__name__", repr(f))
+    warnings.warn(
+        f"observable {name} does not map (n, {dim}) arrays to (n,) values; "
+        "evaluating it one row at a time",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
     def rowwise(x):
         return np.asarray([float(f(row)) for row in x], dtype=float)
@@ -249,33 +271,68 @@ def _np_gradient(model: PotentialModel, pos: np.ndarray) -> np.ndarray:
     return np.asarray(model.gradient_fn(pos), dtype=float)
 
 
+def _add_in_step_order(acc: np.ndarray, v: np.ndarray) -> None:
+    # acc += v[0]; acc += v[1]; ... in one call: accumulate adds strictly in
+    # sequence, so the result has the bits of the per-step additions
+    vals = np.empty((v.shape[0] + 1,) + acc.shape)
+    vals[0] = acc
+    vals[1:] = v
+    np.add.accumulate(vals, axis=0, out=vals)
+    acc[...] = vals[-1]
+
+
 def _np_occ_chunk(model, f_batch, pos, noise, gamma, k0, burn, acc):
-    # noise arrives scaled by snoise; pos is updated in place
-    for kk in range(noise.shape[1]):
-        if k0 + kk >= burn:
-            acc += f_batch(pos)
-        pos -= gamma * _np_gradient(model, pos)
-        pos += noise[:, kk, :]
+    # noise arrives scaled by snoise; pos is updated in place.  Slot 0 of traj
+    # holds a block's start and slot i + 1 the position after its step i.
+    R, d = pos.shape
+    traj = np.empty((_BLOCK + 1, R, d))
+    slots = list(traj)
+    n = noise.shape[1]
+    slots[0][...] = pos
+    for b0 in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - b0)
+        for i in range(b):
+            x, y = slots[i], slots[i + 1]
+            np.subtract(x, gamma * _np_gradient(model, x), out=y)
+            y += noise[:, b0 + i, :]
+        s = min(b, max(0, burn - k0 - b0))  # first slot past burn-in
+        if s < b:
+            v = f_batch(traj[s:b].reshape(-1, d))
+            _add_in_step_order(acc, v.reshape(b - s, R))
+        slots[0][...] = slots[b]
+    pos[...] = slots[0]
 
 
 def _np_coupled_chunk(model, f_batch, pair, noise, gamma, m0, burn, acc):
     # pair is (2, R, d), fine lanes then coarse lanes, updated in place;
     # noise arrives scaled by sfine.  Per coarse step this is the fine recursion
     # (x - (gamma/2) g + inc1) - (gamma/2) g' + inc2 and the coarse one
-    # ((y - gamma g) + inc1) + inc2, operation for operation.
+    # ((y - gamma g) + inc1) + inc2, operation for operation.  The pair walks
+    # through the slots of traj as in _np_occ_chunk.
     R, d = pair.shape[1:]
-    rows = pair.reshape(2 * R, d)
-    fine = pair[0]
+    traj = np.empty((_BLOCK + 1, 2, R, d))
+    slots = list(traj)
+    rows = [t.reshape(2 * R, d) for t in slots]
+    fines = [t[0] for t in slots]
     gfine = 0.5 * gamma
     steps = np.array([gfine, gamma]).reshape(2, 1, 1)
-    for m in range(noise.shape[1]):
-        if m0 + m >= burn:
-            v = f_batch(rows)
-            acc += v[:R] - v[R:]
-        pair -= steps * _np_gradient(model, rows).reshape(2, R, d)
-        pair += noise[:, m, 0, :]
-        fine -= gfine * _np_gradient(model, fine)
-        pair += noise[:, m, 1, :]
+    n = noise.shape[1]
+    slots[0][...] = pair
+    for b0 in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - b0)
+        for i in range(b):
+            y, fine = slots[i + 1], fines[i + 1]
+            g = _np_gradient(model, rows[i]).reshape(2, R, d)
+            np.subtract(slots[i], steps * g, out=y)
+            y += noise[:, b0 + i, 0, :]
+            fine -= gfine * _np_gradient(model, fine)
+            y += noise[:, b0 + i, 1, :]
+        s = min(b, max(0, burn - m0 - b0))
+        if s < b:
+            v = f_batch(traj[s:b].reshape(-1, d)).reshape(b - s, 2, R)
+            _add_in_step_order(acc, v[:, 0] - v[:, 1])
+        slots[0][...] = slots[b]
+    pair[...] = slots[0]
 
 
 # ---------------------------------------------------------------------------

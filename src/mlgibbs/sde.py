@@ -85,11 +85,16 @@ class NoiseStream:
             np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
         )
 
-    def normals(self, count: int) -> np.ndarray:
-        """Draw ``count`` vectors, shape (count, dim)."""
+    def normals(self, count: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Draw ``count`` vectors, shape (count, dim).
+
+        With ``out`` the draws are written into it, which must be a float64
+        array of that shape, and it is returned; the values are those a
+        draw without ``out`` would give.
+        """
         if count < 0:
             raise InvalidParameterError(f"count must be nonnegative, got {count}")
-        out = self._gen.standard_normal((count, self.dim))
+        out = self._gen.standard_normal((count, self.dim), out=out)
         self.cursor += count
         return out
 

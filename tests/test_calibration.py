@@ -28,6 +28,7 @@ from mlgibbs import (
     regime_constants,
     single_level_schedule,
 )
+from mlgibbs.calibration import step_bound
 
 POWER_PROFILE = make_power(1, 0.75).profile
 
@@ -61,6 +62,17 @@ class TestRegimeConstants:
         pr = ConvexityProfile(Convexity.STRONGLY_CONVEX, L=1.0, alpha=1.0)
         with pytest.raises(InvalidParameterError, match="c_lower"):
             regime_constants(pr, 1, 1.0)
+
+    def test_step_bound_is_gamma_star_or_a_quarter_of_one_over_L(self):
+        two_sided = ConvexityProfile(
+            Convexity.PARAMETRIC_TWO_SIDED, L=1.0, c_lower=1.0, c_upper=1.0, r=0.5
+        )
+        assert step_bound(two_sided, 1, 1.0) == 0.125
+        assert step_bound(POWER_PROFILE, 3, 2.0, 0.5) == regime_constants(
+            POWER_PROFILE, 3, 2.0, 0.5
+        ).gamma_star
+        strong = ConvexityProfile(Convexity.STRONGLY_CONVEX, L=2.0, alpha=1.0)
+        assert step_bound(strong, 1, 1.0) == 0.125
 
 
 class TestBiasBounds:

@@ -315,6 +315,20 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("infeasible calibration:")
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    def test_sigma_whose_square_leaves_float_range_is_a_config_exit(
+        self, command, sigma, tmp_path, capsys
+    ):
+        # sigma^2 underflows to 0 or overflows to inf; the quadrature oracle
+        # divides by it
+        raw = base_config(potential={"name": "power", "dim": 1, "p": 0.75}, sigma=sigma)
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(field: sigma)" in captured.err
+
     def test_run_round_trip_through_main(self, tmp_path, capsys):
         raw = base_config(method="single_level", epsilon=0.5, replicates=5)
         path = write_config(tmp_path, raw)

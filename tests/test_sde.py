@@ -86,6 +86,17 @@ class TestNoiseStream:
         whole = b.normals(8)
         np.testing.assert_array_equal(np.vstack([first, rest]), whole)
 
+    def test_draws_into_a_buffer_match_fresh_draws(self):
+        a, b = NoiseStream(7, 1, 3), NoiseStream(7, 1, 3)
+        buf = np.full((2, 5, 3), np.nan)
+        got = b.normals(5, buf[1])
+        assert np.shares_memory(got, buf[1])
+        np.testing.assert_array_equal(buf[1], a.normals(5))
+        assert np.isnan(buf[0]).all()
+        assert b.cursor == a.cursor == 5
+        np.testing.assert_array_equal(b.normals(2, np.empty((2, 3))), a.normals(2))
+        assert b.cursor == a.cursor == 7
+
     def test_streams_with_distinct_ids_differ(self):
         a = NoiseStream(7, 0, 1).normals(100)
         b = NoiseStream(7, 1, 1).normals(100)
