@@ -10,8 +10,6 @@ import json
 import os
 import sys
 
-os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-
 from mlgibbs.cli import main as mlgibbs_main
 
 PRESETS = {

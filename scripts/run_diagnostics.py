@@ -4,8 +4,6 @@ import argparse
 import os
 import sys
 
-os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-
 from mlgibbs import diag_suites
 from mlgibbs.cli import main as mlgibbs_main
 

@@ -141,6 +141,13 @@ class LevelSchedule:
             raise InvalidParameterError(
                 f"tau={self.tau} must lie in [0, min_j T[j])"
             )
+        # tau rounds up to each coarse grid, so it can still fill a level
+        for j, (burn, n) in enumerate(zip(self.burn_counts(), self.step_counts)):
+            if burn >= n:
+                raise InvalidParameterError(
+                    f"tau={self.tau} leaves level {j} no averaging window: "
+                    f"burn-in {burn} of {n} steps"
+                )
 
     @property
     def step_counts(self) -> Tuple[int, ...]:

@@ -463,17 +463,14 @@ def cmd_diag(suite: str, seed: int, out_path: Optional[str] = None) -> int:
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
-def _set_threads(n: Optional[int]):
-    if n is None:
-        return
-    if n < 1:
+def _check_threads(n: Optional[int]):
+    # --threads is accepted so existing command lines keep working; the numpy
+    # engine runs single-threaded whatever its value
+    if n is not None and n < 1:
         raise ConfigError("--threads must be positive", field="threads")
-    try:
-        import numba
 
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass
+
+_THREADS_HELP = "accepted for compatibility; has no effect"
 
 
 def _parse_args(argv: Optional[Sequence[str]]):
@@ -486,7 +483,7 @@ def _parse_args(argv: Optional[Sequence[str]]):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="also write output to this file")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
         if name == "run":
             p.add_argument(
                 "--assert-eps",
@@ -497,14 +494,14 @@ def _parse_args(argv: Optional[Sequence[str]]):
     p = sub.add_parser("diag")
     p.add_argument("suite", help="diagnostic suite name")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
     try:
-        _set_threads(getattr(args, "threads", None))
+        _check_threads(getattr(args, "threads", None))
         if args.command == "diag":
             return cmd_diag(args.suite, _seed_from_env(0), args.out)
         config = load_config(args.config)

@@ -6,17 +6,15 @@ a pure performance knob: stream draws are sequential per lane, so results are
 bit-identical for any chunking, and every lane's arithmetic is elementwise and
 therefore identical to a single-lane run.
 
-Models exposing a closed-form drift family and observables carrying a kernel
-code run through compiled kernels; anything else falls back to a vectorized
-numpy loop with the same draw order and update expressions.
-
-The numpy loop is bound by the per-call overhead of numpy on small arrays, so
-it keeps the number of calls per step low without changing a single float
-operation.  Each lane's Gaussians are drawn straight into its row of the
-chunk buffer, and the chunk is scaled once, in place.  The coupled pair lives
-in one (2, R, d) array, fine lanes first: the fine half-step and the coarse
-step start from the same time, so one drift call on its (2R, d) view serves
-both chains, and a shared noise increment is added to both with one call.
+The drivers are plain numpy, so a rerun gives the same bytes in every
+environment.  The loop is bound by the per-call overhead of numpy on small
+arrays, so it keeps the number of calls per step low without changing a
+single float operation.  Each lane's Gaussians are drawn straight into its
+row of the chunk buffer, and the chunk is scaled once, in place.  The coupled
+pair lives in one (2, R, d) array, fine lanes first: the fine half-step and
+the coarse step start from the same time, so one drift call on its (2R, d)
+view serves both chains, and a shared noise increment is added to both with
+one call.
 Steps run in blocks of _BLOCK: each step writes its positions into the next
 slot of a small trajectory buffer, and the observable is evaluated once per
 block on the slots past burn-in.  Its values are added into the sums with
@@ -29,33 +27,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
-from .potentials import FAMILY_POWER, FAMILY_QUADRATIC, PotentialModel
+from .potentials import PotentialModel
 from .sde import NoiseStream
 
-try:  # compiled kernels are optional; the numpy path covers everything
-    import numba
-    from numba import njit, prange
-
-    numba.config.THREADING_LAYER = "workqueue"  # no TBB/OMP probing
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range  # type: ignore
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+BACKEND = "numpy"
+HAVE_NUMBA = False  # always False; perfbench/child.py still reads it
 
 __all__ = [
     "BACKEND",
@@ -66,11 +47,11 @@ __all__ = [
     "make_streams",
 ]
 
-# target lane-steps per kernel launch; bounds keep noise chunks in memory
+# target lane-steps per noise chunk; bounds keep noise chunks in memory
 _CHUNK_TARGET = 1 << 19
 _CHUNK_MIN = 256
 _CHUNK_MAX = 65536
-# numpy fallback steps per observable call
+# steps per observable call
 _BLOCK = 64
 
 
@@ -89,13 +70,6 @@ def _draw_chunk(streams: List[NoiseStream], count: int) -> np.ndarray:
     for s, row in zip(streams, noise):
         s.normals(count, row)
     return noise
-
-
-def _closed_form_args(model: PotentialModel):
-    cf = model.closed_form
-    if cf is None:
-        return None
-    return int(cf.family), float(cf.a), float(cf.ridge), np.asarray(cf.center, dtype=float)
 
 
 def _batched_observable(f: Callable, dim: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -123,148 +97,7 @@ def _batched_observable(f: Callable, dim: int) -> Callable[[np.ndarray], np.ndar
 
 
 # ---------------------------------------------------------------------------
-# compiled kernels
-
-
-@njit(cache=True, inline="always")
-def _k_obs(pos, rr, d, obs, k):
-    if obs == OBS_COORD:
-        return pos[rr, k]
-    s = 0.0
-    for i in range(d):
-        s += pos[rr, i] * pos[rr, i]
-    if obs == OBS_NORM:
-        return math.sqrt(s)
-    if obs == OBS_NORM2:
-        return s
-    return s * s
-
-
-@njit(cache=True, inline="always")
-def _k_value(pos, rr, d, fam, a, ridge, center):
-    s = 0.0
-    if fam == FAMILY_QUADRATIC:
-        r2 = 0.0
-        for i in range(d):
-            diff = pos[rr, i] - center[i]
-            s += diff * diff
-            r2 += pos[rr, i] * pos[rr, i]
-        return 0.5 * a * s + 0.5 * ridge * r2
-    for i in range(d):
-        s += pos[rr, i] * pos[rr, i]
-    return (1.0 + s) ** a + 0.5 * ridge * s
-
-
-@njit(cache=True, inline="always")
-def _k_advance(pos, rr, d, gamma, snoise, noise, kk, fam, a, ridge, center):
-    if fam == FAMILY_QUADRATIC:
-        for i in range(d):
-            g = a * (pos[rr, i] - center[i]) + ridge * pos[rr, i]
-            pos[rr, i] = pos[rr, i] - gamma * g + snoise * noise[rr, kk, i]
-    else:
-        s = 0.0
-        for i in range(d):
-            s += pos[rr, i] * pos[rr, i]
-        w = 2.0 * a * (1.0 + s) ** (a - 1.0)
-        for i in range(d):
-            g = (w + ridge) * pos[rr, i]
-            pos[rr, i] = pos[rr, i] - gamma * g + snoise * noise[rr, kk, i]
-
-
-@njit(cache=True, parallel=True)
-def _k_occ_chunk(pos, noise, gamma, snoise, fam, a, ridge, center, obs, obs_k, k0, burn, acc):
-    R, n, d = noise.shape
-    for rr in prange(R):
-        local = 0.0
-        for kk in range(n):
-            if k0 + kk >= burn:
-                local += _k_obs(pos, rr, d, obs, obs_k)
-            _k_advance(pos, rr, d, gamma, snoise, noise, kk, fam, a, ridge, center)
-        acc[rr] += local
-
-
-@njit(cache=True, inline="always")
-def _k_advance_sub(pos, rr, d, gamma, snoise, noise, m, half, fam, a, ridge, center):
-    # advance lane rr one step using noise[rr, m, half, :]
-    if fam == FAMILY_QUADRATIC:
-        for i in range(d):
-            g = a * (pos[rr, i] - center[i]) + ridge * pos[rr, i]
-            pos[rr, i] = pos[rr, i] - gamma * g + snoise * noise[rr, m, half, i]
-    else:
-        s = 0.0
-        for i in range(d):
-            s += pos[rr, i] * pos[rr, i]
-        w = 2.0 * a * (1.0 + s) ** (a - 1.0)
-        for i in range(d):
-            g = (w + ridge) * pos[rr, i]
-            pos[rr, i] = pos[rr, i] - gamma * g + snoise * noise[rr, m, half, i]
-
-
-@njit(cache=True, parallel=True)
-def _k_coupled_chunk(
-    posf, posc, noise, gamma, sfine, fam, a, ridge, center, obs, obs_k, m0, burn, acc
-):
-    # noise has shape (R, n, 2, d); coarse step gamma, fine step gamma / 2.
-    # The coarse path receives the two fine noise increments sequentially so
-    # its Brownian increment is the exact sum of the fine pair.
-    R, n, _, d = noise.shape
-    gfine = 0.5 * gamma
-    for rr in prange(R):
-        local = 0.0
-        for m in range(n):
-            if m0 + m >= burn:
-                local += _k_obs(posf, rr, d, obs, obs_k) - _k_obs(posc, rr, d, obs, obs_k)
-            _k_advance_sub(posf, rr, d, gfine, sfine, noise, m, 0, fam, a, ridge, center)
-            _k_advance_sub(posf, rr, d, gfine, sfine, noise, m, 1, fam, a, ridge, center)
-            if fam == FAMILY_QUADRATIC:
-                for i in range(d):
-                    g = a * (posc[rr, i] - center[i]) + ridge * posc[rr, i]
-                    posc[rr, i] = (
-                        (posc[rr, i] - gamma * g) + sfine * noise[rr, m, 0, i]
-                    ) + sfine * noise[rr, m, 1, i]
-            else:
-                s = 0.0
-                for i in range(d):
-                    s += posc[rr, i] * posc[rr, i]
-                w = 2.0 * a * (1.0 + s) ** (a - 1.0)
-                for i in range(d):
-                    g = (w + ridge) * posc[rr, i]
-                    posc[rr, i] = (
-                        (posc[rr, i] - gamma * g) + sfine * noise[rr, m, 0, i]
-                    ) + sfine * noise[rr, m, 1, i]
-        acc[rr] += local
-
-
-@njit(cache=True, parallel=True)
-def _k_pair_chunk(
-    posa, posb, noise, gamma, snoise, fam, a, ridge_a, ridge_b, center, dist2
-):
-    # Two chains sharing one noise stream, possibly with different ridges.
-    # dist2[rr, m] records |a - b|^2 after step m of the chunk.
-    R, n, d = noise.shape
-    for rr in prange(R):
-        for m in range(n):
-            _k_advance(posa, rr, d, gamma, snoise, noise, m, fam, a, ridge_a, center)
-            _k_advance(posb, rr, d, gamma, snoise, noise, m, fam, a, ridge_b, center)
-            s = 0.0
-            for i in range(d):
-                diff = posa[rr, i] - posb[rr, i]
-                s += diff * diff
-            dist2[rr, m] = s
-
-
-@njit(cache=True, parallel=True)
-def _k_value_chunk(pos, noise, gamma, snoise, fam, a, ridge, center, p_mom, values):
-    # values[rr, m] records U(X)^p_mom after step m of the chunk.
-    R, n, d = noise.shape
-    for rr in prange(R):
-        for m in range(n):
-            _k_advance(pos, rr, d, gamma, snoise, noise, m, fam, a, ridge, center)
-            values[rr, m] = _k_value(pos, rr, d, fam, a, ridge, center) ** p_mom
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback steps
+# numpy steps
 
 
 def _np_gradient(model: PotentialModel, pos: np.ndarray) -> np.ndarray:
@@ -374,23 +207,14 @@ def occupation_sums(
     pos = _init_positions(x0, R, d)
     acc = np.zeros(R)
     snoise = sigma * math.sqrt(gamma)
-    code = obs_code(f)
-    cf = _closed_form_args(model)
-    fast = HAVE_NUMBA and code is not None and cf is not None
-    if not fast:
-        f_batch = _batched_observable(f, d)
+    f_batch = _batched_observable(f, d)
     chunk = _chunk_steps(R, d)
     k0 = 0
     while k0 < n_steps:
         n = min(chunk, n_steps - k0)
         noise = _draw_chunk(streams, n)
-        if fast:
-            fam, a, ridge, center = cf
-            _k_occ_chunk(pos, noise, gamma, snoise, fam, a, ridge, center,
-                         code[0], code[1], k0, n_burn, acc)
-        else:
-            noise *= snoise
-            _np_occ_chunk(model, f_batch, pos, noise, gamma, k0, n_burn, acc)
+        noise *= snoise
+        _np_occ_chunk(model, f_batch, pos, noise, gamma, k0, n_burn, acc)
         k0 += n
     ok = np.isfinite(acc) & np.all(np.isfinite(pos), axis=1)
     return acc, ok, pos
@@ -422,23 +246,14 @@ def coupled_diff_sums(
     pair = np.stack((start, start))  # fine, coarse
     acc = np.zeros(R)
     sfine = sigma * math.sqrt(0.5 * gamma)
-    code = obs_code(f)
-    cf = _closed_form_args(model)
-    fast = HAVE_NUMBA and code is not None and cf is not None
-    if not fast:
-        f_batch = _batched_observable(f, d)
+    f_batch = _batched_observable(f, d)
     chunk = _chunk_steps(R, 2 * d)
     m0 = 0
     while m0 < n_coarse:
         n = min(chunk, n_coarse - m0)
         noise = _draw_chunk(streams, 2 * n).reshape(R, n, 2, d)
-        if fast:
-            fam, a, ridge, center = cf
-            _k_coupled_chunk(pair[0], pair[1], noise, gamma, sfine, fam, a, ridge, center,
-                             code[0], code[1], m0, n_burn, acc)
-        else:
-            noise *= sfine
-            _np_coupled_chunk(model, f_batch, pair, noise, gamma, m0, n_burn, acc)
+        noise *= sfine
+        _np_coupled_chunk(model, f_batch, pair, noise, gamma, m0, n_burn, acc)
         m0 += n
     ok = np.isfinite(acc) & np.all(np.isfinite(pair), axis=(0, 2))
     return acc, ok, pair[0], pair[1]
@@ -469,26 +284,17 @@ def pair_distance_series(
     series = np.empty(n_steps + 1)
     series[0] = float(np.mean(np.sum((posa - posb) ** 2, axis=1)))
     snoise = sigma * math.sqrt(gamma)
-    cf = _closed_form_args(model)
-    fast = HAVE_NUMBA and cf is not None
     chunk = _chunk_steps(R, d)
     k0 = 0
     while k0 < n_steps:
         n = min(chunk, n_steps - k0)
         noise = _draw_chunk(streams, n)
-        if fast:
-            fam, a, ridge, center = cf
-            dist2 = np.empty((R, n))
-            _k_pair_chunk(posa, posb, noise, gamma, snoise, fam, a,
-                          ridge + ridge_a, ridge + ridge_b, center, dist2)
-            series[k0 + 1 : k0 + n + 1] = dist2.mean(axis=0)
-        else:
-            for m in range(n):
-                ga = _np_gradient(model, posa) + ridge_a * posa
-                gb = _np_gradient(model, posb) + ridge_b * posb
-                posa = posa - gamma * ga + snoise * noise[:, m, :]
-                posb = posb - gamma * gb + snoise * noise[:, m, :]
-                series[k0 + m + 1] = float(np.mean(np.sum((posa - posb) ** 2, axis=1)))
+        for m in range(n):
+            ga = _np_gradient(model, posa) + ridge_a * posa
+            gb = _np_gradient(model, posb) + ridge_b * posb
+            posa = posa - gamma * ga + snoise * noise[:, m, :]
+            posb = posb - gamma * gb + snoise * noise[:, m, :]
+            series[k0 + m + 1] = float(np.mean(np.sum((posa - posb) ** 2, axis=1)))
         k0 += n
     return series, posa, posb
 
@@ -509,22 +315,14 @@ def value_power_series(
     series = np.empty(n_steps + 1)
     series[0] = float(np.mean(model.value(pos) ** p_mom))
     snoise = sigma * math.sqrt(gamma)
-    cf = _closed_form_args(model)
-    fast = HAVE_NUMBA and cf is not None
     chunk = _chunk_steps(R, d)
     k0 = 0
     while k0 < n_steps:
         n = min(chunk, n_steps - k0)
         noise = _draw_chunk(streams, n)
-        if fast:
-            fam, a, ridge, center = cf
-            values = np.empty((R, n))
-            _k_value_chunk(pos, noise, gamma, snoise, fam, a, ridge, center, p_mom, values)
-            series[k0 + 1 : k0 + n + 1] = values.mean(axis=0)
-        else:
-            for m in range(n):
-                g = _np_gradient(model, pos)
-                pos = pos - gamma * g + snoise * noise[:, m, :]
-                series[k0 + m + 1] = float(np.mean(model.value(pos) ** p_mom))
+        for m in range(n):
+            g = _np_gradient(model, pos)
+            pos = pos - gamma * g + snoise * noise[:, m, :]
+            series[k0 + m + 1] = float(np.mean(model.value(pos) ** p_mom))
         k0 += n
     return series

@@ -1,9 +1,10 @@
 """Named observables whose expectations the estimators target.
 
 Observables are vectorized maps from (..., d) position arrays to (...) values.
-The named ones carry an ``_obs_code`` attribute so the compiled simulation
-kernels can evaluate them inline; arbitrary callables are also accepted by the
-estimator and fall back to a slower path.
+The named ones carry an ``_obs_code`` attribute so the reference oracle can
+use closed-form moments or radial quadrature for them.  Arbitrary callables
+are accepted too; for them the oracle integrates in one dimension and runs a
+long chain otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .errors import ConfigError
 
 __all__ = ["coordinate", "euclidean_norm", "squared_norm", "parse_observable"]
 
-# kernel observable codes
+# observable codes, read by the reference oracle
 OBS_COORD = 0
 OBS_NORM = 1
 OBS_NORM2 = 2
@@ -85,7 +86,7 @@ def parse_observable(spec: str, dim: int):
 
 
 def obs_code(f):
-    """Kernel code of a named observable, or None for a generic callable."""
+    """Oracle code of a named observable, or None for a generic callable."""
     code = getattr(f, "_obs_code", None)
     if code is None:
         return None

@@ -95,14 +95,14 @@ class ConvexityProfile:
             raise InvalidParameterError("alpha must be 0 unless the profile is strongly convex")
 
 
-# Closed-form drift families recognized by the fast simulation kernels.
+# Closed-form families the reference oracle recognizes.
 FAMILY_QUADRATIC = 0  # U(x) = 0.5 * a * |x - center|^2 + 0.5 * ridge * |x|^2
 FAMILY_POWER = 1      # U(x) = (1 + |x|^2)^a            + 0.5 * ridge * |x|^2
 
 
 @dataclass(frozen=True, eq=False)
 class ClosedFormDrift:
-    """Parameters of a drift family the compiled kernels can evaluate inline."""
+    """Parameters of a closed-form family, for the reference oracle."""
 
     family: int
     a: float
@@ -118,8 +118,8 @@ class PotentialModel:
     """A potential together with its dimension, curvature profile and minimizer.
 
     value_fn maps (..., d) arrays to (...) nonnegative values, gradient_fn maps
-    (..., d) to (..., d).  closed_form, when present, lets the compiled
-    simulation kernels evaluate the drift without calling back into Python.
+    (..., d) to (..., d).  closed_form, when present, names the family and
+    parameters, so the reference oracle can use exact or quadrature values.
     """
 
     dim: int

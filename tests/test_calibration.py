@@ -128,6 +128,11 @@ class TestLevelSchedule:
     def test_burn_in_must_precede_every_horizon(self):
         with pytest.raises(InvalidParameterError):
             LevelSchedule(J=1, gamma=(1.0, 0.5), T=(8.0, 4.0), tau=4.0, rho=0.5)
+        # below the horizon, but rounded up to the grid it fills every step
+        with pytest.raises(InvalidParameterError, match="no averaging window"):
+            build_schedule(0.25, [2.0], tau=1.8)
+        with pytest.raises(InvalidParameterError, match="level 1 no averaging window"):
+            build_schedule(0.25, [4.0, 1.0], tau=0.9)
 
     def test_mixing_weight_range(self):
         with pytest.raises(InvalidParameterError):

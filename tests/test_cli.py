@@ -335,6 +335,26 @@ class TestMainEntry:
         assert main(["run", "--config", path]) == EXIT_OK
         assert MSE_CSV_HEADER in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep", "diag"])
+    def test_threads_below_one_is_a_config_exit(self, command, tmp_path, capsys):
+        if command == "diag":
+            target = ["strong_error"]
+        else:
+            target = ["--config", write_config(tmp_path, base_config())]
+        assert main([command, *target, "--threads", "0"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(field: threads)" in captured.err
+
+    def test_threads_leaves_the_run_output_unchanged(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        outputs = []
+        for extra in ([], ["--threads", "2"]):
+            assert main(["run", "--config", path, *extra]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].startswith(MSE_CSV_HEADER)
+        assert outputs[1] == outputs[0]
+
     def test_installed_script_smoke(self, tmp_path):
         path = write_config(tmp_path, base_config(epsilon=0.3))
         proc = subprocess.run(

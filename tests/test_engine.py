@@ -1,6 +1,5 @@
 """Batched lane simulation against the reference single-path routines."""
 
-import importlib.util
 import math
 
 import numpy as np
@@ -20,26 +19,21 @@ from mlgibbs import engine
 
 
 def uncoded(f):
-    """Wrap a recognized observable so the compiled fast path cannot engage."""
+    """Wrap a named observable as a plain callable without its observable code,
+    as a user-supplied observable arrives."""
     return lambda x: f(x)
 
 
-@pytest.fixture
-def kernels(monkeypatch):
-    """Send closed-form models with coded observables to the kernels.
-
-    Without numba, njit is the identity, so the kernels run as interpreted
-    Python: a comparison with the numpy fallback then checks the kernels'
-    arithmetic, though not their compiled form.
-    """
-    if engine.BACKEND == "numpy":
-        monkeypatch.setattr(engine, "HAVE_NUMBA", True)
+@pytest.fixture(params=[1, 2, 3], ids=["power1", "quad2", "quad3"])
+def model(request, power1):
+    """The power reference model in one dimension, and off-center quadratics."""
+    d = request.param
+    return power1 if d == 1 else make_quadratic(d, center=0.2, scale=1.5)
 
 
 def test_backend_names_the_path_that_runs():
-    have = importlib.util.find_spec("numba") is not None
-    assert engine.BACKEND == ("numba" if have else "numpy")
-    assert engine.HAVE_NUMBA == have
+    assert engine.BACKEND == "numpy"
+    assert engine.HAVE_NUMBA is False
 
 
 def test_make_streams_assigns_ids_in_order():
@@ -67,96 +61,36 @@ class TestInitPositions:
 
 
 class TestOccupationSums:
-    def test_each_lane_matches_a_solo_path(self, power1):
+    def test_each_lane_matches_a_solo_path(self, model):
         """A lane of the batched run reproduces simulate_path bit for bit."""
-        n, burn = 200, 20
-        streams = engine.make_streams(11, [4, 7], 1)
+        n, burn, d = 200, 20, model.dim
+        x0 = np.full(d, 0.4)
+        streams = engine.make_streams(11, [4, 7], d)
         sums, ok, pos = engine.occupation_sums(
-            power1, squared_norm, np.array([0.4]), 0.05, 1.0, n, burn, streams
+            model, squared_norm, x0, 0.05, 1.0, n, burn, streams
         )
         assert ok.all()
         for lane, sid in enumerate([4, 7]):
-            path = simulate_path(
-                power1, np.array([0.4]), 0.05, 1.0, n, NoiseStream(11, sid, 1)
-            )
+            path = simulate_path(model, x0, 0.05, 1.0, n, NoiseStream(11, sid, d))
             solo = 0.0
             for k in range(burn, n):
                 solo += float(squared_norm(path[k].position))
             assert sums[lane] == solo
             np.testing.assert_array_equal(pos[lane], path[-1].position)
 
-    def test_compiled_and_fallback_sums_agree(self, kernels, power1):
-        """Positions are bitwise equal; the accumulated sums may sit one
-        ulp apart because the compiled kernel fuses the square-and-add of
-        the observable into a single rounding."""
-        streams = lambda: engine.make_streams(2, [0, 1, 2], 1)
-        fast, ok_f, pos_f = engine.occupation_sums(
-            power1, squared_norm, np.array([0.3]), 0.05, 1.0, 150, 10, streams()
-        )
-        slow, ok_s, pos_s = engine.occupation_sums(
-            power1, uncoded(squared_norm), np.array([0.3]), 0.05, 1.0, 150, 10, streams()
-        )
-        np.testing.assert_array_equal(pos_f, pos_s)
-        np.testing.assert_allclose(fast, slow, rtol=1e-12)
-
-    def test_compiled_and_fallback_agree_in_three_dimensions(self, kernels):
-        model = make_quadratic(3, center=0.2, scale=1.5)
-        streams = lambda: engine.make_streams(8, [0, 1], 3)
-        fast, _, pos_f = engine.occupation_sums(
-            model, squared_norm, np.zeros(3), 0.1, 1.0, 150, 10, streams()
-        )
-        slow, _, pos_s = engine.occupation_sums(
-            model, uncoded(squared_norm), np.zeros(3), 0.1, 1.0, 150, 10, streams()
-        )
-        np.testing.assert_array_equal(fast, slow)
-        np.testing.assert_array_equal(pos_f, pos_s)
-
 
 class TestCoupledDiffSums:
-    def test_each_lane_matches_the_solo_coupled_pair(self, power1):
-        n = 100
-        streams = engine.make_streams(11, [9], 1)
+    def test_each_lane_matches_the_solo_coupled_pair(self, model):
+        n, d = 100, model.dim
+        x0 = np.full(d, 0.4)
+        streams = engine.make_streams(11, [9], d)
         sums, ok, pos_f, pos_c = engine.coupled_diff_sums(
-            power1, squared_norm, np.array([0.4]), 0.1, 1.0, n, 0, streams
+            model, squared_norm, x0, 0.1, 1.0, n, 0, streams
         )
         assert ok.all()
-        states, _ = simulate_coupled(
-            power1, np.array([0.4]), 0.1, 1.0, n, NoiseStream(11, 9, 1)
-        )
+        states, _ = simulate_coupled(model, x0, 0.1, 1.0, n, NoiseStream(11, 9, d))
         np.testing.assert_array_equal(pos_f[0], states[-1].fine.position)
         np.testing.assert_array_equal(pos_c[0], states[-1].coarse.position)
-
-    def test_compiled_and_fallback_coupled_runs_agree(self, kernels, power1):
-        """Positions match bitwise; sums may differ in the last ulp.
-
-        The compiled kernel contracts the observable difference into fused
-        multiply adds, so the per step f(fine) - f(coarse) values can land
-        one ulp away from the interpreted arithmetic once the pair
-        decouples.  Positions never touch that code path and stay exact.
-        """
-        streams = lambda: engine.make_streams(11, [9, 12], 1)
-        fast, _, pf_a, pc_a = engine.coupled_diff_sums(
-            power1, squared_norm, np.array([0.4]), 0.1, 1.0, 100, 0, streams()
-        )
-        slow, _, pf_b, pc_b = engine.coupled_diff_sums(
-            power1, uncoded(squared_norm), np.array([0.4]), 0.1, 1.0, 100, 0, streams()
-        )
-        np.testing.assert_array_equal(pf_a, pf_b)
-        np.testing.assert_array_equal(pc_a, pc_b)
-        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
-
-    def test_compiled_and_fallback_coupled_runs_agree_on_a_quadratic(self, kernels):
-        model = make_quadratic(2, center=0.2, scale=1.5)
-        streams = lambda: engine.make_streams(11, [9, 12], 2)
-        fast, _, pf_a, pc_a = engine.coupled_diff_sums(
-            model, squared_norm, np.zeros(2), 0.1, 1.0, 100, 0, streams()
-        )
-        slow, _, pf_b, pc_b = engine.coupled_diff_sums(
-            model, uncoded(squared_norm), np.zeros(2), 0.1, 1.0, 100, 0, streams()
-        )
-        np.testing.assert_array_equal(pf_a, pf_b)
-        np.testing.assert_array_equal(pc_a, pc_b)
-        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
     def test_rerun_is_bitwise_identical(self, power1):
         out = []

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from mlgibbs import (
     Convexity,
@@ -48,6 +50,25 @@ class TestStreamLayout:
             stream_id_for(0, STREAM_LEVEL_SPAN)
 
 
+def _counting_model(counted):
+    """Unit quadratic in one dimension, without closed form, whose gradient
+    counts its calls and the points it is evaluated at."""
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        counted["calls"] += 1
+        counted["points"] += x.shape[0] if x.ndim == 2 else 1
+        return x
+
+    return PotentialModel(
+        1,
+        lambda x: 0.5 * float(np.sum(np.asarray(x) ** 2)),
+        grad,
+        ConvexityProfile(Convexity.STRONGLY_CONVEX, L=1.0, alpha=1.0),
+        np.zeros(1),
+    )
+
+
 class TestExactCosts:
     def test_single_level(self):
         sch = single_level_schedule(0.1, 10.0)
@@ -66,24 +87,10 @@ class TestExactCosts:
         assert out.gaussians_drawn == gaussians_of(sch)
 
     def test_gradient_calls_are_counted_exactly(self):
-        """A model without closed form runs the interpreted engine, whose
-        gradient evaluations, one per point of each call, must equal the
+        """Gradient evaluations, one per point of each call, equal the
         advertised cost per lane."""
         counted = {"calls": 0, "points": 0}
-
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            counted["calls"] += 1
-            counted["points"] += x.shape[0] if x.ndim == 2 else 1
-            return x
-
-        model = PotentialModel(
-            1,
-            lambda x: 0.5 * float(np.sum(np.asarray(x) ** 2)),
-            grad,
-            ConvexityProfile(Convexity.STRONGLY_CONVEX, L=1.0, alpha=1.0),
-            np.zeros(1),
-        )
+        model = _counting_model(counted)
         sch = build_schedule(0.25, [8.0, 4.0])
         counts = sch.step_counts
         # the fine half-step and the coarse step share one call
@@ -100,6 +107,36 @@ class TestExactCosts:
             lambda: run_replicates(model, squared_norm, sch, 1.0, np.zeros(1), 3, [0, 1, 2])
         )
         assert batch == (calls, 3 * cost_of(sch))
+
+    @given(
+        J=st.integers(0, 3),
+        rho=st.floats(0.0, 1.0),
+        tau_share=st.floats(0.0, 0.9),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_counted_work_of_a_run_equals_the_formulas(self, J, rho, tau_share):
+        """Any schedule that validates runs, and the gradient points and
+        Gaussian vectors a three-lane run consumes, counted as it consumes
+        them, equal three times cost_of and gaussians_of."""
+        counted = {"calls": 0, "points": 0, "vectors": 0}
+        model = _counting_model(counted)
+        horizons = [2.0 * 2.0 ** (-(1.0 - rho) * j) for j in range(J + 1)]
+        try:
+            sch = build_schedule(0.25, horizons, tau=tau_share * min(horizons), rho=rho)
+        except InvalidParameterError:
+            reject()  # the burn-in fills some level
+        normals = NoiseStream.normals
+
+        def counting_normals(self, *args):
+            out = normals(self, *args)
+            counted["vectors"] += out.shape[0]
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NoiseStream, "normals", counting_normals)
+            run_replicates(model, squared_norm, sch, 1.0, np.zeros(1), 3, [0, 1, 2])
+        assert counted["points"] == 3 * cost_of(sch)
+        assert counted["vectors"] == 3 * gaussians_of(sch)
 
 
 class TestReproducibility:

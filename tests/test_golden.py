@@ -46,9 +46,6 @@ RUN_GOLDENS = [
 ]
 
 
-@pytest.mark.skipif(
-    engine.HAVE_NUMBA, reason="recorded on the numpy fallback; compiled sums may differ in the last bit"
-)
 @pytest.mark.parametrize("raw, row", RUN_GOLDENS, ids=["penalized-quad-d1", "weak-ii-power-d3"])
 def test_run_csv_bytes(raw, row, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MLGIBBS_SEED", raising=False)
