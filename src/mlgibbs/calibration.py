@@ -56,6 +56,14 @@ class RegimeConstants:
     c_r: float = 1.0
 
 
+def _require_parametric(profile: ConvexityProfile):
+    if profile.kind not in _PARAMETRIC:
+        raise InvalidParameterError(
+            "a parametric convexity profile (c_lower with exponent r) is "
+            "required; profile lacks c_lower"
+        )
+
+
 def regime_constants(
     profile: ConvexityProfile, d: int, sigma: float, c_r: float = 1.0
 ) -> RegimeConstants:
@@ -67,11 +75,7 @@ def regime_constants(
         raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
     if c_r <= 0.0:
         raise InvalidParameterError(f"c_r must be positive, got {c_r}")
-    if profile.kind not in _PARAMETRIC:
-        raise InvalidParameterError(
-            "regime constants require a parametric convexity profile "
-            "(c_lower with exponent r); profile lacks c_lower"
-        )
+    _require_parametric(profile)
     L, c_lo, r = profile.L, profile.c_lower, profile.r
     if profile.kind is Convexity.PARAMETRIC_TWO_SIDED:
         top = max(profile.c_upper, L)
@@ -393,14 +397,6 @@ def complexity_bound_penalized(
         * epsilon**-5
         * levels**3
     )
-
-
-def _require_parametric(profile: ConvexityProfile):
-    if profile.kind not in _PARAMETRIC:
-        raise InvalidParameterError(
-            "weak-convexity calibration requires a parametric profile; "
-            "profile lacks c_lower"
-        )
 
 
 def _check_weak_args(epsilon, delta, gamma0, constants):

@@ -26,6 +26,7 @@ from . import diag_suites
 from .calibration import (
     LevelSchedule,
     PenalizedPlan,
+    _require_parametric,
     build_schedule,
     calibrate_penalized,
     calibrate_single_level,
@@ -52,7 +53,6 @@ from .errors import (
 from .estimator import cost_of
 from .observables import parse_observable
 from .potentials import (
-    _PARAMETRIC,
     PotentialModel,
     make_power,
     make_quadratic,
@@ -264,15 +264,6 @@ def build_model(config: ExperimentConfig) -> PotentialModel:
     return model
 
 
-def _require_parametric(model: PotentialModel, method: str):
-    if model.profile.kind not in _PARAMETRIC:
-        raise ConfigError(
-            f"method {method!r} needs a curvature envelope constant c_lower, "
-            "which this potential does not provide",
-            field="c_lower",
-        )
-
-
 @dataclass(frozen=True)
 class RunSetup:
     """Everything needed to execute one configuration at one accuracy."""
@@ -319,7 +310,10 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
         schedule = plan.schedule
         predicted = plan.predicted_cost
     elif config.method in ("weak_i", "weak_ii"):
-        _require_parametric(target, config.method)
+        try:
+            _require_parametric(target.profile)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"method {config.method!r}: {exc}", field="c_lower") from exc
         constants = regime_constants(
             target.profile, target.dim, config.sigma, config.c_r
         )

@@ -37,9 +37,9 @@ from .errors import (
     NumericalOverflowError,
     OracleFailureError,
 )
-from .estimator import run_replicates
+from .estimator import _point, run_replicates
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
-from .potentials import FAMILY_QUADRATIC, PotentialModel
+from .potentials import FAMILY_QUADRATIC, PotentialModel, penalize
 from .sde import _check_step_size, grid_count_up
 
 __all__ = [
@@ -540,6 +540,7 @@ def strong_error_curve(
         raise InvalidParameterError("need at least two step sizes for a slope")
     if R < 2:
         raise InvalidParameterError(f"need at least 2 pairs, got {R}")
+    x0 = _point(x0, model.dim)
     from .observables import squared_norm
 
     msds, ses = [], []
@@ -606,10 +607,13 @@ def confluence_curve(
 
     if R < 1:
         raise InvalidParameterError(f"need at least 1 pair, got {R}")
+    x, y = _point(x, model.dim), _point(y, model.dim)
     _check_step_size(model, gamma)
     n = grid_count_up(horizon, gamma)
     streams = engine.make_streams(seed, list(range(R)), model.dim)
-    series, _, _ = engine.pair_distance_series(model, x, y, gamma, sigma, n, streams)
+    series, _, _ = engine.pair_distance_series(
+        model, model, x, y, gamma, sigma, n, streams
+    )
     if not np.all(np.isfinite(series)):
         raise NumericalOverflowError("shared-noise pair overflowed")
     times = tuple(k * gamma for k in range(n + 1))
@@ -670,15 +674,13 @@ def moment_envelope_check(
         raise InvalidParameterError(f"need at least 2 chains, got {R}")
     _check_step_size(model, gamma)
     psi = regime_constants(model.profile, model.dim, sigma).psi_bar
-    x0_arr = np.asarray(x0, dtype=float)
-    if x0_arr.ndim == 0:
-        x0_arr = np.full(model.dim, float(x0_arr))
-    u0 = float(model.value(x0_arr[None, :])[0])
+    x0 = _point(x0, model.dim)
+    u0 = float(model.value(x0[None, :])[0])
     envelope = c_margin * (u0 + psi) ** p
 
     n = grid_count_up(horizon, gamma)
     streams = engine.make_streams(seed, list(range(R)), model.dim)
-    series = engine.value_power_series(model, x0_arr, gamma, sigma, n, p, streams)
+    series = engine.value_power_series(model, x0, gamma, sigma, n, p, streams)
     if not np.all(np.isfinite(series)):
         raise NumericalOverflowError("moment chain overflowed")
     max_val = float(np.max(series))
@@ -799,9 +801,8 @@ def decreasing_penalization_probe(
     if R < 2:
         raise InvalidParameterError(f"need at least 2 pairs, got {R}")
     n = grid_count_up(horizon, gamma)
-    x_arr = np.asarray(x, dtype=float).reshape(-1)
-    y_arr = np.asarray(y, dtype=float).reshape(-1)
-    dist0 = float(np.sum((x_arr - y_arr) ** 2))
+    x, y = _point(x, model.dim), _point(y, model.dim)
+    dist0 = float(np.sum((x - y) ** 2))
     t_end = n * gamma
     bound = decreasing_penalization_gap(
         alpha, alpha_tilde, model.dim, sigma, t_end, dist0
@@ -809,8 +810,8 @@ def decreasing_penalization_probe(
     _check_step_size(model, gamma)
     streams = engine.make_streams(seed, list(range(R)), model.dim)
     series, _, _ = engine.pair_distance_series(
-        model, x_arr, y_arr, gamma, sigma, n, streams,
-        ridge_a=alpha, ridge_b=alpha_tilde,
+        penalize(model, alpha), penalize(model, alpha_tilde),
+        x, y, gamma, sigma, n, streams,
     )
     if not np.all(np.isfinite(series)):
         raise NumericalOverflowError("penalized pair overflowed")

@@ -1,26 +1,26 @@
 """Batched simulation drivers behind the estimator and the diagnostics.
 
 Each driver advances R independent replicate lanes through the same Euler
-recursion, one noise stream per lane, drawing noise in chunks.  Chunk size is
-a pure performance knob: stream draws are sequential per lane, so results are
-bit-identical for any chunking, and every lane's arithmetic is elementwise and
-therefore identical to a single-lane run.
+recursion, one noise stream per lane.  All four drivers share one loop,
+_advance, which draws noise in chunks and runs steps in blocks of _BLOCK; a
+driver supplies only its step (one chain, or the fine/coarse pair) and a
+recorder that reads each block.  Chunk size is a pure performance knob:
+stream draws are sequential per lane, so results are bit-identical for any
+chunking, and every lane's arithmetic is elementwise and therefore identical
+to a single-lane run.
 
 The drivers are plain numpy, so a rerun gives the same bytes in every
 environment.  The loop is bound by the per-call overhead of numpy on small
 arrays, so it keeps the number of calls per step low without changing a
 single float operation.  Each lane's Gaussians are drawn straight into its
-row of the chunk buffer, and the chunk is scaled once, in place.  The coupled
-pair lives in one (2, R, d) array, fine lanes first: the fine half-step and
-the coarse step start from the same time, so one drift call on its (2R, d)
-view serves both chains, and a shared noise increment is added to both with
-one call.
-Steps run in blocks of _BLOCK: each step writes its positions into the next
-slot of a small trajectory buffer, and the observable is evaluated once per
-block on the slots past burn-in.  Its values are added into the sums with
+row of the chunk buffer, and the chunk is scaled once, in place.  Each step
+writes its state into the next slot of a small trajectory buffer, and the
+recorder reads the block's slots in one call: the window sums evaluate the
+observable on the slots past burn-in and add its values with
 np.add.accumulate, which adds strictly in step order, so the sums carry the
-bits of one addition per step.  Like the lane batching, this relies on drift
-and observable maps acting on each row alone.
+bits of one addition per step; the series helpers take one lane mean per
+slot.  Like the lane batching, this relies on drift and observable maps
+acting on each row alone.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _batched_observable(f: Callable, dim: int) -> Callable[[np.ndarray], np.ndar
 
 
 # ---------------------------------------------------------------------------
-# numpy steps
+# the step loop
 
 
 def _np_gradient(model: PotentialModel, pos: np.ndarray) -> np.ndarray:
@@ -114,58 +114,95 @@ def _add_in_step_order(acc: np.ndarray, v: np.ndarray) -> None:
     acc[...] = vals[-1]
 
 
-def _np_occ_chunk(model, f_batch, pos, noise, gamma, k0, burn, acc):
-    # noise arrives scaled by snoise; pos is updated in place.  Slot 0 of traj
-    # holds a block's start and slot i + 1 the position after its step i.
-    R, d = pos.shape
-    traj = np.empty((_BLOCK + 1, R, d))
+def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
+    """Advance state, an (..., R, d) array, by n_steps steps in place.
+
+    step(x, y, noise, k) writes the successor of x into y, using the draws
+    vectors per lane noise[:, draws * k : draws * (k + 1)], already scaled.
+    record(traj, k, b) runs after each block of b steps from grid point k:
+    slot 0 of traj holds the state at k and slot i + 1 the state at k + i + 1.
+    """
+
+    R, d = len(streams), state.shape[-1]
+    traj = np.empty((_BLOCK + 1,) + state.shape)
     slots = list(traj)
-    n = noise.shape[1]
-    slots[0][...] = pos
-    for b0 in range(0, n, _BLOCK):
-        b = min(_BLOCK, n - b0)
-        for i in range(b):
-            x, y = slots[i], slots[i + 1]
-            np.subtract(x, gamma * _np_gradient(model, x), out=y)
-            y += noise[:, b0 + i, :]
-        s = min(b, max(0, burn - k0 - b0))  # first slot past burn-in
-        if s < b:
-            v = f_batch(traj[s:b].reshape(-1, d))
-            _add_in_step_order(acc, v.reshape(b - s, R))
-        slots[0][...] = slots[b]
-    pos[...] = slots[0]
+    slots[0][...] = state
+    chunk = _chunk_steps(R, draws * d)
+    k0 = 0
+    while k0 < n_steps:
+        n = min(chunk, n_steps - k0)
+        noise = _draw_chunk(streams, draws * n)
+        noise *= scale
+        for b0 in range(0, n, _BLOCK):
+            b = min(_BLOCK, n - b0)
+            for i in range(b):
+                step(slots[i], slots[i + 1], noise, b0 + i)
+            record(traj, k0 + b0, b)
+            slots[0][...] = slots[b]
+        k0 += n
+    state[...] = slots[0]
 
 
-def _np_coupled_chunk(model, f_batch, pair, noise, gamma, m0, burn, acc):
-    # pair is (2, R, d), fine lanes then coarse lanes, updated in place;
-    # noise arrives scaled by sfine.  Per coarse step this is the fine recursion
-    # (x - (gamma/2) g + inc1) - (gamma/2) g' + inc2 and the coarse one
-    # ((y - gamma g) + inc1) + inc2, operation for operation.  The pair walks
-    # through the slots of traj as in _np_occ_chunk.
-    R, d = pair.shape[1:]
-    traj = np.empty((_BLOCK + 1, 2, R, d))
-    slots = list(traj)
-    rows = [t.reshape(2 * R, d) for t in slots]
-    fines = [t[0] for t in slots]
-    gfine = 0.5 * gamma
+def _chain_step(model: PotentialModel, gamma: float) -> Callable:
+    """The Euler step (x - gamma grad U(x)) + noise of one chain."""
+
+    def step(x, y, noise, k):
+        np.subtract(x, gamma * _np_gradient(model, x), out=y)
+        y += noise[:, k]
+
+    return step
+
+
+def _coupled_step(model: PotentialModel, gamma: float) -> Callable:
+    """One coarse step of a (2, R, d) pair, fine lanes then coarse lanes.
+
+    Noise arrives scaled for the fine step.  This is the fine recursion
+    (x - (gamma/2) g + inc1) - (gamma/2) g' + inc2 and the coarse one
+    ((y - gamma g) + inc1) + inc2, operation for operation; the fine half-step
+    and the coarse step start from the same point, so one drift call on the
+    (2R, d) view serves both, and one call adds each shared increment to both.
+    """
+
+    d, gfine = model.dim, 0.5 * gamma
     steps = np.array([gfine, gamma]).reshape(2, 1, 1)
-    n = noise.shape[1]
-    slots[0][...] = pair
-    for b0 in range(0, n, _BLOCK):
-        b = min(_BLOCK, n - b0)
-        for i in range(b):
-            y, fine = slots[i + 1], fines[i + 1]
-            g = _np_gradient(model, rows[i]).reshape(2, R, d)
-            np.subtract(slots[i], steps * g, out=y)
-            y += noise[:, b0 + i, 0, :]
-            fine -= gfine * _np_gradient(model, fine)
-            y += noise[:, b0 + i, 1, :]
-        s = min(b, max(0, burn - m0 - b0))
+
+    def step(x, y, noise, k):
+        g = _np_gradient(model, x.reshape(-1, d)).reshape(x.shape)
+        np.subtract(x, steps * g, out=y)
+        y += noise[:, 2 * k]
+        fine = y[0]
+        fine -= gfine * _np_gradient(model, fine)
+        y += noise[:, 2 * k + 1]
+
+    return step
+
+
+def _window_sum(f_batch: Callable, n_burn: int, acc: np.ndarray) -> Callable:
+    """Recorder adding f at the grid points past n_burn into acc, per lane;
+    for a coupled pair, f(fine) - f(coarse)."""
+
+    def record(traj, k, b):
+        s = min(b, max(0, n_burn - k))  # first slot past burn-in
         if s < b:
-            v = f_batch(traj[s:b].reshape(-1, d)).reshape(b - s, 2, R)
-            _add_in_step_order(acc, v[:, 0] - v[:, 1])
-        slots[0][...] = slots[b]
-    pair[...] = slots[0]
+            block = traj[s:b]
+            v = f_batch(block.reshape(-1, block.shape[-1])).reshape(block.shape[:-1])
+            _add_in_step_order(acc, v[:, 0] - v[:, 1] if v.ndim == 3 else v)
+
+    return record
+
+
+def _lane_mean_series(state, streams, n_steps, scale, step, stat) -> np.ndarray:
+    """Lane mean of stat at grid points 0..n_steps; stat maps a block of
+    states to (block, R) values."""
+
+    series = np.empty(n_steps + 1)
+    series[0] = np.mean(stat(state[None]), axis=1)[0]
+
+    def record(traj, k, b):
+        series[k + 1:k + b + 1] = np.mean(stat(traj[1:b + 1]), axis=1)
+
+    _advance(state, streams, n_steps, 1, scale, step, record)
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +243,9 @@ def occupation_sums(
         )
     pos = _init_positions(x0, R, d)
     acc = np.zeros(R)
-    snoise = sigma * math.sqrt(gamma)
-    f_batch = _batched_observable(f, d)
-    chunk = _chunk_steps(R, d)
-    k0 = 0
-    while k0 < n_steps:
-        n = min(chunk, n_steps - k0)
-        noise = _draw_chunk(streams, n)
-        noise *= snoise
-        _np_occ_chunk(model, f_batch, pos, noise, gamma, k0, n_burn, acc)
-        k0 += n
+    record = _window_sum(_batched_observable(f, d), n_burn, acc)
+    _advance(pos, streams, n_steps, 1, sigma * math.sqrt(gamma),
+             _chain_step(model, gamma), record)
     ok = np.isfinite(acc) & np.all(np.isfinite(pos), axis=1)
     return acc, ok, pos
 
@@ -245,58 +275,43 @@ def coupled_diff_sums(
     start = _init_positions(x0, R, d)
     pair = np.stack((start, start))  # fine, coarse
     acc = np.zeros(R)
-    sfine = sigma * math.sqrt(0.5 * gamma)
-    f_batch = _batched_observable(f, d)
-    chunk = _chunk_steps(R, 2 * d)
-    m0 = 0
-    while m0 < n_coarse:
-        n = min(chunk, n_coarse - m0)
-        noise = _draw_chunk(streams, 2 * n).reshape(R, n, 2, d)
-        noise *= sfine
-        _np_coupled_chunk(model, f_batch, pair, noise, gamma, m0, n_burn, acc)
-        m0 += n
+    record = _window_sum(_batched_observable(f, d), n_burn, acc)
+    _advance(pair, streams, n_coarse, 2, sigma * math.sqrt(0.5 * gamma),
+             _coupled_step(model, gamma), record)
     ok = np.isfinite(acc) & np.all(np.isfinite(pair), axis=(0, 2))
     return acc, ok, pair[0], pair[1]
 
 
 def pair_distance_series(
-    model: PotentialModel,
+    model_a: PotentialModel,
+    model_b: PotentialModel,
     x0_a,
     x0_b,
     gamma: float,
     sigma: float,
     n_steps: int,
     streams: List[NoiseStream],
-    ridge_a: float = 0.0,
-    ridge_b: float = 0.0,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean squared distance between two chains driven by shared noise.
 
-    Optional extra ridges (alpha / 2) |x|^2 are added to the drift of each
-    chain separately.  Returns (series, final_a, final_b) where series[k] is
-    the lane average of |A_k - B_k|^2 at grid time k * gamma, length
-    n_steps + 1.
+    Chain A follows model_a and chain B model_b.  Returns (series, final_a,
+    final_b) where series[k] is the lane average of |A_k - B_k|^2 at grid
+    time k * gamma, length n_steps + 1.
     """
 
-    R, d = len(streams), model.dim
-    posa = _init_positions(x0_a, R, d)
-    posb = _init_positions(x0_b, R, d)
-    series = np.empty(n_steps + 1)
-    series[0] = float(np.mean(np.sum((posa - posb) ** 2, axis=1)))
-    snoise = sigma * math.sqrt(gamma)
-    chunk = _chunk_steps(R, d)
-    k0 = 0
-    while k0 < n_steps:
-        n = min(chunk, n_steps - k0)
-        noise = _draw_chunk(streams, n)
-        for m in range(n):
-            ga = _np_gradient(model, posa) + ridge_a * posa
-            gb = _np_gradient(model, posb) + ridge_b * posb
-            posa = posa - gamma * ga + snoise * noise[:, m, :]
-            posb = posb - gamma * gb + snoise * noise[:, m, :]
-            series[k0 + m + 1] = float(np.mean(np.sum((posa - posb) ** 2, axis=1)))
-        k0 += n
-    return series, posa, posb
+    R, d = len(streams), model_a.dim
+    pair = np.stack((_init_positions(x0_a, R, d), _init_positions(x0_b, R, d)))
+    step_a, step_b = _chain_step(model_a, gamma), _chain_step(model_b, gamma)
+
+    def step(x, y, noise, k):
+        step_a(x[0], y[0], noise, k)
+        step_b(x[1], y[1], noise, k)
+
+    series = _lane_mean_series(
+        pair, streams, n_steps, sigma * math.sqrt(gamma), step,
+        lambda t: np.sum((t[:, 0] - t[:, 1]) ** 2, axis=-1),
+    )
+    return series, pair[0], pair[1]
 
 
 def value_power_series(
@@ -311,18 +326,8 @@ def value_power_series(
     """Lane average of U(X)^p_mom along the chain; length n_steps + 1."""
 
     R, d = len(streams), model.dim
-    pos = _init_positions(x0, R, d)
-    series = np.empty(n_steps + 1)
-    series[0] = float(np.mean(model.value(pos) ** p_mom))
-    snoise = sigma * math.sqrt(gamma)
-    chunk = _chunk_steps(R, d)
-    k0 = 0
-    while k0 < n_steps:
-        n = min(chunk, n_steps - k0)
-        noise = _draw_chunk(streams, n)
-        for m in range(n):
-            g = _np_gradient(model, pos)
-            pos = pos - gamma * g + snoise * noise[:, m, :]
-            series[k0 + m + 1] = float(np.mean(model.value(pos) ** p_mom))
-        k0 += n
-    return series
+    return _lane_mean_series(
+        _init_positions(x0, R, d), streams, n_steps, sigma * math.sqrt(gamma),
+        _chain_step(model, gamma),
+        lambda t: model.value(t.reshape(-1, d)).reshape(t.shape[:-1]) ** p_mom,
+    )

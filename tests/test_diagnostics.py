@@ -324,3 +324,36 @@ class TestPenalizationProbe:
                 quad1, 0.2, 0.2, 1.0, np.array([1.0]), np.array([-1.0]), 0.01, 0.5,
                 R=10, seed=3,
             )
+
+
+def run_diagnostic(name, x, y):
+    """One short run of a start-point-taking diagnostic in three dimensions."""
+    power3 = make_power(3, 0.75)
+    if name == "strong_error":
+        return strong_error_curve(power3, 1.0, x, [0.1, 0.05], 1.0, R=4, seed=2)
+    if name == "confluence":
+        return confluence_curve(power3, 1.0, x, y, 0.1, 1.0, R=4, seed=2)
+    if name == "moments":
+        return moment_envelope_check(
+            power3, 1.0, x, 0.1, 2.0, 1.0, R=4, seed=2, c_margin=8.0
+        )
+    return decreasing_penalization_probe(
+        make_quadratic(3), 0.4, 0.2, 1.0, x, y, 0.05, 1.0, R=4, seed=2
+    )
+
+
+DIAGNOSTICS = ["strong_error", "confluence", "moments", "probe"]
+
+
+class TestStartPoints:
+    @pytest.mark.parametrize("name", DIAGNOSTICS)
+    def test_scalar_starts_broadcast(self, name):
+        scalar = run_diagnostic(name, 1.0, -1.0).to_dict()
+        full = run_diagnostic(name, np.full(3, 1.0), np.full(3, -1.0)).to_dict()
+        assert scalar == full
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", DIAGNOSTICS)
+    def test_non_finite_starts_are_invalid(self, name, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            run_diagnostic(name, np.array([0.5, bad, 0.0]), np.zeros(3))

@@ -11,6 +11,7 @@ from mlgibbs import (
     make_power,
     make_quadratic,
     occupation_average,
+    penalize,
     simulate_coupled,
     simulate_path,
     squared_norm,
@@ -123,7 +124,7 @@ class TestSeriesHelpers:
     def test_pair_distance_starts_at_the_initial_separation(self, quad1):
         streams = engine.make_streams(4, [0, 1], 1)
         series, _, _ = engine.pair_distance_series(
-            quad1, np.array([3.0]), np.array([-3.0]), 0.05, 1.0, 10, streams
+            quad1, quad1, np.array([3.0]), np.array([-3.0]), 0.05, 1.0, 10, streams
         )
         assert len(series) == 11
         assert series[0] == 36.0
@@ -133,7 +134,7 @@ class TestSeriesHelpers:
         n = 40
         streams = engine.make_streams(4, [0, 1, 2], 1)
         series, _, _ = engine.pair_distance_series(
-            quad1, np.array([2.0]), np.array([-1.0]), 0.05, 1.0, n, streams
+            quad1, quad1, np.array([2.0]), np.array([-1.0]), 0.05, 1.0, n, streams
         )
         want = 9.0 * (1.0 - 0.05) ** (2 * np.arange(n + 1))
         np.testing.assert_allclose(series, want, rtol=1e-10)
@@ -142,8 +143,8 @@ class TestSeriesHelpers:
         # same chain, one ridged lane: distances must move apart from zero
         streams = engine.make_streams(4, [0], 1)
         series, _, _ = engine.pair_distance_series(
-            quad1, np.array([1.0]), np.array([1.0]), 0.05, 1.0, 30, streams,
-            ridge_a=0.5, ridge_b=0.0,
+            penalize(quad1, 0.5), quad1, np.array([1.0]), np.array([1.0]),
+            0.05, 1.0, 30, streams,
         )
         assert series[0] == 0.0
         assert series[-1] > 0.0
@@ -187,6 +188,38 @@ def _per_step_coupled(model, f, x0, gamma, sigma, n, burn, streams):
         fine = (fine - 0.5 * gamma * grad(fine)) + noise[:, m, 1, :]
         coarse = ((coarse - gamma * grad(coarse)) + noise[:, m, 0, :]) + noise[:, m, 1, :]
     return acc, fine, coarse
+
+
+def _per_step_value_power(model, x0, gamma, sigma, n, p_mom, streams):
+    """Reference: the series loop with one value call per step."""
+    pos = engine._init_positions(x0, len(streams), model.dim)
+    noise = np.stack([s.normals(n) for s in streams])
+    snoise = sigma * math.sqrt(gamma)
+    series = np.empty(n + 1)
+    series[0] = float(np.mean(model.value(pos) ** p_mom))
+    for m in range(n):
+        g = np.asarray(model.gradient_fn(pos), dtype=float)
+        pos = pos - gamma * g + snoise * noise[:, m, :]
+        series[m + 1] = float(np.mean(model.value(pos) ** p_mom))
+    return series
+
+
+def _per_step_pair_distance(model_a, model_b, x0_a, x0_b, gamma, sigma, n, streams):
+    """Reference: two chains on shared noise, one distance per step."""
+    R, d = len(streams), model_a.dim
+    posa = engine._init_positions(x0_a, R, d)
+    posb = engine._init_positions(x0_b, R, d)
+    noise = np.stack([s.normals(n) for s in streams])
+    snoise = sigma * math.sqrt(gamma)
+    series = np.empty(n + 1)
+    series[0] = float(np.mean(np.sum((posa - posb) ** 2, axis=1)))
+    for m in range(n):
+        ga = np.asarray(model_a.gradient_fn(posa), dtype=float)
+        gb = np.asarray(model_b.gradient_fn(posb), dtype=float)
+        posa = posa - gamma * ga + snoise * noise[:, m, :]
+        posb = posb - gamma * gb + snoise * noise[:, m, :]
+        series[m + 1] = float(np.mean(np.sum((posa - posb) ** 2, axis=1)))
+    return series, posa, posb
 
 
 def scalar_norm2(x):
@@ -249,6 +282,39 @@ class TestBlockedNumpyLoop:
         np.testing.assert_array_equal(sums, want)
         np.testing.assert_array_equal(pf, want_f)
         np.testing.assert_array_equal(pc, want_c)
+
+    # 130 lanes: the lane means go past numpy's 128-element pairwise block
+    @pytest.mark.parametrize("chunk", [20, None])
+    @pytest.mark.parametrize("n", [150, 13])
+    def test_value_power_series(self, blocks, chunk, n, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: chunk)
+        model = make_power(2, 0.75)
+        x0 = np.array([0.4, -0.2])
+        series = engine.value_power_series(
+            model, x0, 0.05, 1.0, n, 1.5, engine.make_streams(3, range(130), 2)
+        )
+        want = _per_step_value_power(
+            model, x0, 0.05, 1.0, n, 1.5, engine.make_streams(3, range(130), 2)
+        )
+        np.testing.assert_array_equal(series, want)
+
+    @pytest.mark.parametrize("chunk", [20, None])
+    @pytest.mark.parametrize("n", [150, 13])
+    def test_pair_distance_series(self, blocks, chunk, n, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: chunk)
+        base = make_quadratic(2, center=np.array([0.3, -0.2]), scale=1.5)
+        models = (penalize(base, 1.0), penalize(base, 0.25))
+        starts = (np.array([1.0, -1.0]), np.array([-0.5, 0.5]))
+        got = engine.pair_distance_series(
+            *models, *starts, 0.05, 1.0, n, engine.make_streams(3, range(130), 2)
+        )
+        want = _per_step_pair_distance(
+            *models, *starts, 0.05, 1.0, n, engine.make_streams(3, range(130), 2)
+        )
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
     def test_row_wise_observable(self, blocks):
         model = make_power(2, 0.75)

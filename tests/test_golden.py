@@ -1,8 +1,9 @@
 """Bit-identity goldens for the numpy engine and the `run` command.
 
-The values below were recorded before the numpy fallback was rewritten to
-advance the coupled pair as one array with pre-scaled noise.  Any change to
-the per-step floating-point operations shows up here as a changed bit.
+The driver values were recorded before the numpy fallback was rewritten to
+advance the coupled pair as one array with pre-scaled noise, the series values
+before the series helpers joined the blocked step loop.  Any change to the
+per-step floating-point operations shows up here as a changed bit.
 """
 
 import json
@@ -12,8 +13,20 @@ import pytest
 
 from mlgibbs import engine
 from mlgibbs.cli import main
+from mlgibbs.diagnostics import (
+    confluence_curve,
+    decreasing_penalization_probe,
+    moment_envelope_check,
+)
 from mlgibbs.observables import coordinate
-from mlgibbs.potentials import Convexity, ConvexityProfile, PotentialModel
+from mlgibbs.potentials import (
+    Convexity,
+    ConvexityProfile,
+    PotentialModel,
+    make_power,
+    make_quadratic,
+    penalize,
+)
 
 _HEADER = (
     "method,potential,dim,sigma,epsilon,J,gamma0,T0,tau,R,seed,"
@@ -60,11 +73,14 @@ def _hex(values):
 
 
 @pytest.fixture
-def aliasing_model(monkeypatch):
-    """No closed form, so the numpy path runs; the gradient returns its own
-    input array, and chunks of 7 steps leave a remainder chunk."""
-
+def chunk7(monkeypatch):
+    """Chunks of 7 steps, so a run leaves a remainder chunk."""
     monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: 7)
+
+
+@pytest.fixture
+def aliasing_model(chunk7):
+    """No closed form; the gradient returns its own input array."""
     return PotentialModel(
         2,
         lambda x: 0.5 * np.sum(x * x, axis=-1),
@@ -106,3 +122,136 @@ def test_occupation_sums_bits(aliasing_model):
         "0x1.b20345c2e9c34p-2", "0x1.488894394440dp-1", "-0x1.ed7155ce06a70p-7",
         "-0x1.fe768a7e8d5e8p-2", "0x1.6a7c1b8804740p-7", "0x1.56ba735e5b5bcp-2",
     ]
+
+
+# Series goldens, recorded before the series helpers joined the blocked step
+# loop: 67 steps, so the last 64-step block and the last 7-step chunk are
+# partial, and 10 lanes, so the lane means go past numpy's 8-way unrolled sum.
+CONFLUENCE_HEX = [
+    "0x1.6000000000000p+1", "0x1.0da5fed5295e2p+1", "0x1.a02743b5f3c02p+0",
+    "0x1.3ff431c078fe4p+0", "0x1.ed05fbefa042ep-1", "0x1.7c74750b5d508p-1",
+    "0x1.2931da8673168p-1", "0x1.cec9374b02e4dp-2", "0x1.68d3fa3c9c212p-2",
+    "0x1.154f8e643d18dp-2", "0x1.a999d666da946p-3", "0x1.4948e9f9cf566p-3",
+    "0x1.02303541dd982p-3", "0x1.9141090794a65p-4", "0x1.331dc397d8532p-4",
+    "0x1.d32ecafccc1eap-5", "0x1.67d9841ef046ep-5", "0x1.12d51479b2791p-5",
+    "0x1.a78402bbe4df5p-6", "0x1.49d2c76736dffp-6", "0x1.01929bdddb946p-6",
+    "0x1.932c2233ed05bp-7", "0x1.3bcf4d2aee6fep-7", "0x1.f61aca77cbabap-8",
+    "0x1.8f9cab47bbd4ep-8", "0x1.3df1282a1c27ap-8", "0x1.f8daf6d6f7403p-9",
+    "0x1.912cb2830d775p-9", "0x1.3e99a2d685e67p-9", "0x1.fe78fb1fd1a96p-10",
+    "0x1.9b627d834d225p-10", "0x1.4c3ec1bbb5c2ap-10", "0x1.0cd81d80c7e27p-10",
+    "0x1.b4e8c249e73c5p-11", "0x1.613666c6e4863p-11", "0x1.225d32c30c76ep-11",
+    "0x1.d49becd7f1332p-12", "0x1.79af3a451756ap-12", "0x1.321bcbd39d99ap-12",
+    "0x1.eb7dac04d7f78p-13", "0x1.8813787e9f750p-13", "0x1.34d4e480be494p-13",
+    "0x1.edc88fa9283ddp-14", "0x1.8d51823404cdcp-14", "0x1.401bd66c68a5fp-14",
+    "0x1.0428f2d6c81ffp-14", "0x1.a471dcaf55aabp-15", "0x1.554c9f5864cf7p-15",
+    "0x1.169c67f100abcp-15", "0x1.c63bf3ec6b020p-16", "0x1.6cbcbaf1649c9p-16",
+    "0x1.1d94f070bd06dp-16", "0x1.c8da64c1e2455p-17", "0x1.7bf8ea2ca9494p-17",
+    "0x1.34ca4f2da8962p-17", "0x1.e6c6f4d52743ep-18", "0x1.7a7a39aa0d0e2p-18",
+    "0x1.2927870bd61ffp-18", "0x1.c7b6c74b33823p-19", "0x1.6367534e39543p-19",
+    "0x1.18e2c081ac6b0p-19", "0x1.be21e6ea68f6ep-20", "0x1.65340953975a2p-20",
+    "0x1.1b0b058dbc550p-20", "0x1.ce21e8003ee88p-21", "0x1.7b330d661aa1dp-21",
+    "0x1.37dc56aa19e28p-21", "0x1.f4f8dd966e942p-22",
+]
+MOMENTS_HEX = [
+    "0x1.c21fda76b76a3p+1", "0x1.2082282518d62p+2", "0x1.ca485ba0fde3ap+1",
+    "0x1.c97ad01461886p+1", "0x1.e29b730cf3382p+1", "0x1.207632ba55705p+2",
+    "0x1.118f94c390bd1p+2", "0x1.199723c23cf5cp+2", "0x1.dec767f570893p+1",
+    "0x1.f394031833cddp+1", "0x1.b34c0baf5ec83p+1", "0x1.03d2e21f8d6fap+2",
+    "0x1.c0f2375938ac6p+1", "0x1.6bd376185a36dp+1", "0x1.48d0bd7e6a8fbp+1",
+    "0x1.96db148caa5f1p+1", "0x1.ad4745f93c822p+1", "0x1.e5f7071fe0d06p+1",
+    "0x1.ec58417d652c6p+1", "0x1.140b7fe553652p+2", "0x1.a2d2435e629bdp+1",
+    "0x1.bdc5dfe8f1282p+1", "0x1.1ad98e0833283p+2", "0x1.19fbe3d43eed7p+2",
+    "0x1.f740e80cfec9dp+1", "0x1.01c855c09679ap+2", "0x1.0b075682c447cp+2",
+    "0x1.04528e9701c8bp+2", "0x1.d890700a7e88bp+1", "0x1.3d62f19b3a4b6p+2",
+    "0x1.57e24f686f685p+2", "0x1.7b00f2cc11a21p+2", "0x1.934b55dbfc4afp+2",
+    "0x1.5686883547445p+2", "0x1.601dc926ecc37p+2", "0x1.54aec4616884ap+2",
+    "0x1.44437e4e0235fp+2", "0x1.814d2edbdd78bp+2", "0x1.49fc4e9281159p+2",
+    "0x1.4a7dec6d68892p+2", "0x1.eb379da4b702ap+1", "0x1.4717d0c202041p+2",
+    "0x1.359a75a37dd78p+2", "0x1.219c34b6d9ef5p+2", "0x1.ff37e8d853166p+1",
+    "0x1.c1f94e584dcabp+1", "0x1.0827955c0580ap+2", "0x1.b8a624fb3327ap+1",
+    "0x1.ad87d7d0ec2e5p+1", "0x1.55d53aec5d872p+1", "0x1.5c6396b011f1dp+1",
+    "0x1.838bd4c5332e0p+1", "0x1.15b0752da9f59p+2", "0x1.a60d3a795e12ap+1",
+    "0x1.778226ef31820p+1", "0x1.510699507ee70p+1", "0x1.bb9e9acdfc50dp+1",
+    "0x1.d8f7aa4feebc3p+1", "0x1.1d6e2eb0545e2p+2", "0x1.1a0e3114e7119p+2",
+    "0x1.5c8bb0c7fbca3p+2", "0x1.6b548e3f4a7eap+2", "0x1.5274b1e7efbd2p+2",
+    "0x1.87385f7eb0dfdp+2", "0x1.b1f3b92ceb42bp+2", "0x1.7c26121f3c262p+2",
+    "0x1.11eb04abfdcd2p+2", "0x1.0b35c86845412p+2",
+]
+PROBE_HEX = [
+    "0x1.2000000000000p+2", "0x1.c5b0a3d70a3d6p+1", "0x1.6324f02d1e77ap+1",
+    "0x1.1674b37fd48c8p+1", "0x1.b05bd0cf48743p+0", "0x1.4e8ccb0c9ab61p+0",
+    "0x1.0047da5397c8ep+0", "0x1.87f624a9517c4p-1", "0x1.2c2a3c849ad89p-1",
+    "0x1.c8edd89bd96f6p-2", "0x1.643fd9ea6cf2ap-2", "0x1.16e51cfb5c612p-2",
+    "0x1.ba0c7ca1d3b0ap-3", "0x1.64acd9029bb9ap-3", "0x1.217e5cc54315bp-3",
+    "0x1.cea6e45857693p-4", "0x1.7a34283e6a6d9p-4", "0x1.3b4d4e9e699f9p-4",
+    "0x1.0ba9281714da6p-4", "0x1.d77bac189ae48p-5", "0x1.a45e53dd738c2p-5",
+    "0x1.7b1d2be607760p-5", "0x1.59a469235bb13p-5", "0x1.4ea4a5928b80ap-5",
+    "0x1.504f17ecef75ap-5", "0x1.581b967aa705cp-5", "0x1.634754a9032f2p-5",
+    "0x1.5a416435df6ddp-5", "0x1.5b29e93e754a2p-5", "0x1.5f775365a168ep-5",
+    "0x1.4a4a2c4e9e1dap-5", "0x1.3195b02cceaf3p-5", "0x1.2064c271cfea0p-5",
+    "0x1.1dd4efd3ee089p-5", "0x1.27ebde817f354p-5", "0x1.3671e36289026p-5",
+    "0x1.4eacc5111995dp-5", "0x1.5c56be37451fap-5", "0x1.603da81b0c26ap-5",
+    "0x1.6ed70ae61eb8ap-5", "0x1.8323cd02b3815p-5", "0x1.96a2406ca8cf6p-5",
+    "0x1.a48b6d56737f0p-5", "0x1.adb6e71c108fdp-5", "0x1.abf266407fc5dp-5",
+    "0x1.9fd9555360e5ap-5", "0x1.99789db8a5386p-5", "0x1.884b22474f7cfp-5",
+    "0x1.81e08a7a9c7f5p-5", "0x1.787b3d79787f2p-5", "0x1.7269da5a6b415p-5",
+    "0x1.6d69f07dfebc1p-5", "0x1.5a4265c600fadp-5", "0x1.472fc643d6775p-5",
+    "0x1.2def056aa2efap-5", "0x1.1fb5c13b7cd37p-5", "0x1.1b2f55079dc8fp-5",
+    "0x1.1a829b9735b6fp-5", "0x1.2a622fb1eeba8p-5", "0x1.427365a6c2a08p-5",
+    "0x1.4d2f63bca9080p-5", "0x1.44ac488157d61p-5", "0x1.4b758dea49fa2p-5",
+    "0x1.5e3a5a6e34a30p-5", "0x1.6be18727961afp-5", "0x1.6ad868f99d130p-5",
+    "0x1.6be505792f057p-5", "0x1.75d67fcc8f1bdp-5",
+]
+PAIR_FINAL_HEX = [
+    "0x1.9963adb1e53eap-2", "-0x1.5ffb7208ec6d8p-3",
+    "0x1.0a8c74de4c56bp+0", "-0x1.0171a061e4e38p-1",
+    "-0x1.e0609bd4ff978p-6", "0x1.000789a5f7d34p-4",
+    "0x1.b150f4edfcb53p-2", "-0x1.7a3ae3a8a1e1cp-2",
+    "0x1.538ecd2717162p+0", "-0x1.424d21ae1bcd3p-1",
+    "-0x1.7ff1531527924p-4", "0x1.c2282103483eep-4",
+]
+
+
+@pytest.fixture
+def power3():
+    return make_power(3, 0.75)
+
+
+@pytest.fixture
+def quad2():
+    return make_quadratic(2, center=np.array([0.3, -0.2]), scale=1.5)
+
+
+def test_confluence_curve_bits(chunk7, power3):
+    curve = confluence_curve(
+        power3, 1.0, np.array([1.0, -0.5, 0.25]), np.array([-0.5, 0.0, 0.75]),
+        0.1, 6.7, 10, 5,
+    )
+    assert _hex(curve.mean_square_distances) == CONFLUENCE_HEX
+
+
+def test_moment_envelope_bits(chunk7, power3):
+    trace = moment_envelope_check(
+        power3, 1.0, np.array([0.5, -1.0, 0.25]), 0.1, 2.0, 6.7, 10, 5, 10.0
+    )
+    assert _hex(trace.series) == MOMENTS_HEX
+    assert _hex([trace.envelope]) == ["0x1.e14e9a811f6b6p+10"]
+
+
+def test_decreasing_penalization_probe_bits(chunk7, quad2):
+    probe = decreasing_penalization_probe(
+        quad2, 1.0, 0.25, 1.0, np.array([1.0, -1.0]), np.array([-0.5, 0.5]),
+        0.05, 3.35, 10, 5,
+    )
+    assert _hex(probe.series) == PROBE_HEX
+    assert _hex([probe.bound]) == ["0x1.805ac0af297a2p+2"]
+
+
+def test_ridged_pair_final_positions_bits(chunk7, quad2):
+    """The probe's pair, ridged through penalize: each chain's last positions."""
+    _, final_a, final_b = engine.pair_distance_series(
+        penalize(quad2, 1.0), penalize(quad2, 0.25),
+        np.array([1.0, -1.0]), np.array([-0.5, 0.5]), 0.05, 1.0, 67,
+        engine.make_streams(5, [0, 3, 8], 2),
+    )
+    assert _hex(final_a) + _hex(final_b) == PAIR_FINAL_HEX
