@@ -37,10 +37,10 @@ from .errors import (
     NumericalOverflowError,
     OracleFailureError,
 )
-from .estimator import _point, run_replicates
+from .estimator import BatchResult, _point, run_replicates
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
 from .potentials import FAMILY_QUADRATIC, PotentialModel, penalize
-from .sde import _check_step_size, grid_count_up
+from .sde import _check_sigma, _check_step_size, grid_count_up
 
 __all__ = [
     "SLACK_FRACTION",
@@ -98,13 +98,6 @@ class ReferenceValue:
         if not (math.isfinite(self.error_estimate) and self.error_estimate >= 0.0):
             raise InvalidParameterError("error_estimate must be finite and nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "error_estimate": self.error_estimate,
-        }
-
 
 @dataclass(frozen=True)
 class MseReport:
@@ -130,18 +123,6 @@ class MseReport:
         lhs = self.rmse**2
         rhs = self.bias**2 + self.variance * (r - 1) / r
         return abs(lhs - rhs) / max(1e-300, abs(lhs), abs(rhs))
-
-    def to_dict(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "mean": self.mean,
-            "variance": self.variance,
-            "bias": self.bias,
-            "rmse": self.rmse,
-            "mean_cost": self.mean_cost,
-            "epsilon_target": self.epsilon_target,
-            "n_failed": self.n_failed,
-        }
 
 
 def mse_csv_row(
@@ -182,13 +163,22 @@ def _scalar_observable(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return lambda xs: batched(np.asarray(xs, dtype=float)[:, None])
 
 
-def _log_weight_1d(model: PotentialModel, sigma: float) -> Callable:
+def _weight(model: PotentialModel, sigma: float) -> Callable:
+    """Unnormalized Gibbs density along the first axis, as a map r -> w(r).
+
+    w(r) = r^(d - 1) exp(-2 (U(r e_1) - U(x*)) / sigma^2) with x* the
+    minimizer: the density of X itself when d = 1, of |X| when the model
+    is radially symmetric about x* = 0, r^(d - 1) being the polar Jacobian.
+    """
+    d = model.dim
     u0 = float(model.value(model.minimizer[None, :])[0])
     inv = 2.0 / (sigma * sigma)
 
-    def w(xs: np.ndarray) -> np.ndarray:
-        u = model.value(np.asarray(xs, dtype=float)[:, None])
-        return np.exp(-inv * (u - u0))
+    def w(rs: np.ndarray) -> np.ndarray:
+        rs = np.asarray(rs, dtype=float)
+        pts = np.zeros((rs.size, d))
+        pts[:, 0] = rs
+        return rs ** (d - 1) * np.exp(-inv * (model.value(pts) - u0))
 
     return w
 
@@ -231,6 +221,36 @@ def _quad(g: Callable, a: float, b: float, epsrel: float) -> Tuple[float, float]
     return val, err
 
 
+def _quadrature_ratio(
+    model: PotentialModel,
+    sigma: float,
+    f: Callable,
+    f_at: Callable,
+    epsrel: float,
+    radial: bool = False,
+) -> ReferenceValue:
+    """The mean of f under _weight, quad(f w) / quad(w), with its error bound.
+
+    f maps an array of abscissae to values, f_at one float abscissa to a
+    value; f_at is passed apart because numpy's array power need not round
+    like Python's float power, and the numerator keeps its caller's
+    arithmetic.  The domain, from 0 when radial, is truncated where (1 + |f|) w
+    falls below _TRUNCATION of its peak; the error estimate propagates both
+    quadrature error bounds through the ratio.
+    """
+    w = _weight(model, sigma)
+    a, b = _bracket(
+        lambda xs: (1.0 + np.abs(f(xs))) * w(xs), float(model.minimizer[0]), radial
+    )
+    num, err_n = _quad(lambda x: float(f_at(x) * w([x])[0]), a, b, epsrel)
+    den, err_d = _quad(lambda x: float(w([x])[0]), a, b, epsrel)
+    if den <= 0.0:
+        raise OracleFailureError("density normalizer integrated to a nonpositive value")
+    value = num / den
+    err = (err_n + abs(value) * err_d) / den
+    return ReferenceValue(value=value, method="quadrature_1d", error_estimate=err)
+
+
 def reference_moment(
     model: PotentialModel, sigma: float, f: Callable, epsrel: float = 1e-10
 ) -> ReferenceValue:
@@ -244,46 +264,18 @@ def reference_moment(
 
     if model.dim != 1:
         raise InvalidParameterError("reference_moment needs a one-dimensional model")
-    if sigma <= 0.0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    w = _log_weight_1d(model, sigma)
+    _check_sigma(sigma)
     fv = _scalar_observable(f)
-    center = float(model.minimizer[0])
-    a, b = _bracket(lambda xs: (1.0 + np.abs(fv(xs))) * w(xs), center)
-    num, err_n = _quad(lambda x: float(fv([x])[0] * w([x])[0]), a, b, epsrel)
-    den, err_d = _quad(lambda x: float(w([x])[0]), a, b, epsrel)
-    if den <= 0.0:
-        raise OracleFailureError("density normalizer integrated to a nonpositive value")
-    value = num / den
-    err = (err_n + abs(value) * err_d) / den
-    return ReferenceValue(value=value, method="quadrature_1d", error_estimate=err)
+    return _quadrature_ratio(model, sigma, fv, lambda x: fv([x])[0], epsrel)
 
 
 def _radial_moment(
     model: PotentialModel, sigma: float, power: int, epsrel: float = 1e-10
 ) -> ReferenceValue:
     """E |X|^power for a radially symmetric model via a radial integral."""
-    d = model.dim
-    inv = 2.0 / (sigma * sigma)
-    u0 = float(model.value(np.zeros((1, d)))[0])
-
-    def radial_u(rs: np.ndarray) -> np.ndarray:
-        pts = np.zeros((len(rs), d))
-        pts[:, 0] = rs
-        return model.value(pts)
-
-    def w(rs: np.ndarray) -> np.ndarray:
-        rs = np.asarray(rs, dtype=float)
-        return rs ** (d - 1) * np.exp(-inv * (radial_u(rs) - u0))
-
-    _, b = _bracket(lambda rs: (1.0 + rs**power) * w(rs), 0.0, one_sided=True)
-    num, err_n = _quad(lambda r: float(r**power * w([r])[0]), 0.0, b, epsrel)
-    den, err_d = _quad(lambda r: float(w([r])[0]), 0.0, b, epsrel)
-    if den <= 0.0:
-        raise OracleFailureError("radial normalizer integrated to a nonpositive value")
-    value = num / den
-    err = (err_n + abs(value) * err_d) / den
-    return ReferenceValue(value=value, method="quadrature_1d", error_estimate=err)
+    return _quadrature_ratio(
+        model, sigma, lambda rs: rs**power, lambda r: r**power, epsrel, radial=True
+    )
 
 
 def _gaussian_params(model: PotentialModel, sigma: float):
@@ -305,6 +297,7 @@ def reference_for(
     quadrature; anything else runs the long-chain oracle under seed.
     """
 
+    _check_sigma(sigma)
     code = obs_code(f)
     d = model.dim
     g = _gaussian_params(model, sigma)
@@ -357,8 +350,7 @@ def long_run_reference(
     batch means.  Stream id 0 under the given seed; starts at the minimizer.
     """
 
-    if sigma <= 0.0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     bound = step_bound(model.profile, model.dim, 1.0)
     gamma = bound / 64.0
     n_total = grid_count_up(1e5 * bound, gamma)
@@ -402,10 +394,9 @@ def w1_distance_1d(
 
     if model_a.dim != 1 or model_b.dim != 1:
         raise InvalidParameterError("w1_distance_1d needs one-dimensional models")
-    if sigma <= 0.0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    wa = _log_weight_1d(model_a, sigma)
-    wb = _log_weight_1d(model_b, sigma)
+    _check_sigma(sigma)
+    wa = _weight(model_a, sigma)
+    wb = _weight(model_b, sigma)
     a1, b1 = _bracket(wa, float(model_a.minimizer[0]))
     a2, b2 = _bracket(wb, float(model_b.minimizer[0]))
     lo, hi = min(a1, a2), max(b1, b2)
@@ -433,6 +424,17 @@ def _normalized_cdf(w: Callable, xs: np.ndarray) -> np.ndarray:
     if not (math.isfinite(total) and total > 0.0):
         raise OracleFailureError("density normalizer is nonpositive on the grid")
     return cdf / total
+
+
+def _surviving_lanes(batch: BatchResult, what: str) -> np.ndarray:
+    """Mask of the replicates that stayed finite; over 1% failed aborts."""
+    ok = batch.ok
+    n_failed = int(ok.size - ok.sum())
+    if n_failed > _MAX_FAILED_FRACTION * ok.size:
+        raise NumericalOverflowError(
+            f"{n_failed} of {ok.size} replicates overflowed; aborting the {what}"
+        )
+    return ok
 
 
 def run_mse_experiment(
@@ -468,13 +470,7 @@ def run_mse_experiment(
         raise InvalidParameterError("replicate_ids length must equal R")
 
     batch = run_replicates(model, f, schedule, sigma, model.minimizer, seed, ids)
-    ok = batch.ok
-    n_failed = int(R - ok.sum())
-    if n_failed > _MAX_FAILED_FRACTION * R:
-        raise NumericalOverflowError(
-            f"{n_failed} of {R} replicates overflowed; aborting the experiment"
-        )
-    values = batch.values[ok]
+    values = batch.values[_surviving_lanes(batch, "experiment")]
     n_ok = values.size
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1)) if n_ok > 1 else 0.0
@@ -488,8 +484,27 @@ def run_mse_experiment(
         rmse=rmse,
         mean_cost=float(batch.gradient_evals),
         epsilon_target=float(epsilon_target),
-        n_failed=n_failed,
+        n_failed=R - n_ok,
     )
+
+
+def _probe_steps(
+    model: PotentialModel,
+    sigma: float,
+    gamma: float,
+    horizon: float,
+    R: int,
+    min_lanes: int = 2,
+) -> int:
+    """Check a probe's lane count, sigma, step and horizon; return its steps.
+
+    The horizon is rounded up to the step grid.
+    """
+    if R < min_lanes:
+        raise InvalidParameterError(f"need at least {min_lanes} lanes, got {R}")
+    _check_sigma(sigma)
+    _check_step_size(model, gamma)
+    return grid_count_up(horizon, gamma)
 
 
 @dataclass(frozen=True)
@@ -508,15 +523,6 @@ class StrongErrorCurve:
     standard_errors: Tuple[float, ...]
     slope: float
     mean_square_slope: float
-
-    def to_dict(self) -> dict:
-        return {
-            "gammas": list(self.gammas),
-            "mean_square_gaps": list(self.mean_square_gaps),
-            "standard_errors": list(self.standard_errors),
-            "slope": self.slope,
-            "mean_square_slope": self.mean_square_slope,
-        }
 
 
 def strong_error_curve(
@@ -538,15 +544,12 @@ def strong_error_curve(
 
     if len(gammas) < 2:
         raise InvalidParameterError("need at least two step sizes for a slope")
-    if R < 2:
-        raise InvalidParameterError(f"need at least 2 pairs, got {R}")
     x0 = _point(x0, model.dim)
     from .observables import squared_norm
 
     msds, ses = [], []
     for i, gamma in enumerate(gammas):
-        _check_step_size(model, gamma)
-        n = grid_count_up(horizon, gamma)
+        n = _probe_steps(model, sigma, gamma, horizon, R)
         streams = engine.make_streams(
             seed, [i * (1 << 20) + lane for lane in range(R)], model.dim
         )
@@ -586,12 +589,6 @@ class ConfluenceCurve:
     def terminal(self) -> float:
         return self.mean_square_distances[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "mean_square_distances": list(self.mean_square_distances),
-        }
-
 
 def confluence_curve(
     model: PotentialModel,
@@ -605,11 +602,8 @@ def confluence_curve(
 ) -> ConfluenceCurve:
     """Track E|X^x_t - X^y_t|^2 for chains sharing their noise."""
 
-    if R < 1:
-        raise InvalidParameterError(f"need at least 1 pair, got {R}")
+    n = _probe_steps(model, sigma, gamma, horizon, R, min_lanes=1)
     x, y = _point(x, model.dim), _point(y, model.dim)
-    _check_step_size(model, gamma)
-    n = grid_count_up(horizon, gamma)
     streams = engine.make_streams(seed, list(range(R)), model.dim)
     series, _, _ = engine.pair_distance_series(
         model, model, x, y, gamma, sigma, n, streams
@@ -638,15 +632,6 @@ class EnvelopeTrace:
     times: Tuple[float, ...]
     series: Tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_ratio": self.max_ratio,
-            "envelope": self.envelope,
-            "times": list(self.times),
-            "series": list(self.series),
-        }
-
 
 def moment_envelope_check(
     model: PotentialModel,
@@ -670,15 +655,11 @@ def moment_envelope_check(
         raise InvalidParameterError(f"moment power must be nonnegative, got {p}")
     if c_margin <= 0.0:
         raise InvalidParameterError(f"c_margin must be positive, got {c_margin}")
-    if R < 2:
-        raise InvalidParameterError(f"need at least 2 chains, got {R}")
-    _check_step_size(model, gamma)
+    n = _probe_steps(model, sigma, gamma, horizon, R)
     psi = regime_constants(model.profile, model.dim, sigma).psi_bar
     x0 = _point(x0, model.dim)
     u0 = float(model.value(x0[None, :])[0])
     envelope = c_margin * (u0 + psi) ** p
-
-    n = grid_count_up(horizon, gamma)
     streams = engine.make_streams(seed, list(range(R)), model.dim)
     series = engine.value_power_series(model, x0, gamma, sigma, n, p, streams)
     if not np.all(np.isfinite(series)):
@@ -711,14 +692,6 @@ class LevelVarianceProfile:
         np.fill_diagonal(c, 0.0)
         return float(c.max()) if c.size else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": [list(row) for row in self.levels],
-            "correlations": np.asarray(self.correlations).tolist(),
-            "total_variance": self.total_variance,
-            "replicates": self.replicates,
-        }
-
 
 def level_variance_profile(
     model: PotentialModel,
@@ -738,12 +711,7 @@ def level_variance_profile(
     if R < 100:
         raise InvalidParameterError(f"need at least 100 replicates, got {R}")
     batch = run_replicates(model, f, schedule, sigma, x0, seed, list(range(R)))
-    ok = batch.ok
-    n_failed = int(R - ok.sum())
-    if n_failed > _MAX_FAILED_FRACTION * R:
-        raise NumericalOverflowError(
-            f"{n_failed} of {R} replicates overflowed; aborting the profile"
-        )
+    ok = _surviving_lanes(batch, "profile")
     lv = batch.level_values[ok]
     variances = np.var(lv, axis=0, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -770,14 +738,6 @@ class PenalizationProbe:
     times: Tuple[float, ...]
     series: Tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "bound": self.bound,
-            "times": list(self.times),
-            "series": list(self.series),
-        }
-
 
 def decreasing_penalization_probe(
     model: PotentialModel,
@@ -798,16 +758,13 @@ def decreasing_penalization_probe(
     small step and compare with SLACK_FRACTION slack.
     """
 
-    if R < 2:
-        raise InvalidParameterError(f"need at least 2 pairs, got {R}")
-    n = grid_count_up(horizon, gamma)
+    n = _probe_steps(model, sigma, gamma, horizon, R)
     x, y = _point(x, model.dim), _point(y, model.dim)
     dist0 = float(np.sum((x - y) ** 2))
     t_end = n * gamma
     bound = decreasing_penalization_gap(
         alpha, alpha_tilde, model.dim, sigma, t_end, dist0
     )
-    _check_step_size(model, gamma)
     streams = engine.make_streams(seed, list(range(R)), model.dim)
     series, _, _ = engine.pair_distance_series(
         penalize(model, alpha), penalize(model, alpha_tilde),

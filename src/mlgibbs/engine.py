@@ -211,13 +211,9 @@ def _lane_mean_series(state, streams, n_steps, scale, step, stat) -> np.ndarray:
 
 def _init_positions(x0, R: int, d: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 0:
-        return np.full((R, d), float(x0))
-    if x0.shape == (d,):
-        return np.tile(x0, (R, 1))
-    if x0.shape == (R, d):
-        return x0.astype(float).copy()
-    raise InvalidParameterError(f"x0 must have shape ({d},) or ({R}, {d}), got {x0.shape}")
+    if x0.shape != (d,):
+        raise InvalidParameterError(f"x0 must have shape ({d},), got {x0.shape}")
+    return np.tile(x0, (R, 1))
 
 
 def occupation_sums(

@@ -27,7 +27,7 @@ from . import engine
 from .calibration import LevelSchedule
 from .errors import InvalidParameterError, NumericalOverflowError
 from .potentials import PotentialModel
-from .sde import _check_step_size
+from .sde import _check_sigma, _check_step_size
 
 __all__ = [
     "STREAM_LEVEL_SPAN",
@@ -124,8 +124,7 @@ def run_replicates(
     which is useful for degenerate-variance checks.
     """
 
-    if sigma <= 0.0 or not math.isfinite(sigma):
-        raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     R = len(replicate_ids)
     if R < 1:
         raise InvalidParameterError("need at least one replicate id")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "NoiseStream",
     "PathState",
     "CoupledPathState",
-    "CouplingAudit",
-    "floor_time",
     "euler_step",
     "simulate_path",
     "simulate_coupled",
@@ -41,24 +39,13 @@ __all__ = [
 _GRID_SNAP = 1e-9
 
 
-def floor_time(t: float, gamma: float) -> float:
-    """Largest grid multiple of gamma not exceeding t (up to float snap)."""
-
-    if not gamma > 0.0:
-        raise InvalidParameterError(f"gamma must be positive, got {gamma}")
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be nonnegative, got {t}")
-    q = t / gamma
-    return gamma * math.floor(q + _GRID_SNAP * max(1.0, q))
-
-
 def grid_count_up(t: float, gamma: float) -> int:
     """Number of gamma-steps covering t, rounding t up to the grid."""
 
     if not gamma > 0.0:
         raise InvalidParameterError(f"gamma must be positive, got {gamma}")
-    if t < 0.0:
-        raise InvalidParameterError(f"t must be nonnegative, got {t}")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
     q = t / gamma
     return math.ceil(q - _GRID_SNAP * max(1.0, q))
 
@@ -136,17 +123,9 @@ class CoupledPathState:
     coarse: PathState
 
 
-@dataclass(frozen=True)
-class CouplingAudit:
-    """Recorded Brownian increments of a coupled simulation.
-
-    fine_increments has shape (n, 2, d): the two half-step noise terms of each
-    coarse step.  coarse_increments has shape (n, d) and each entry is the
-    exact float sum of the corresponding pair of fine increments.
-    """
-
-    fine_increments: np.ndarray
-    coarse_increments: np.ndarray
+def _check_sigma(sigma: float):
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
 
 
 def _check_step_size(model: PotentialModel, gamma: float):
@@ -233,8 +212,7 @@ def simulate_coupled(
     sigma: float,
     n_coarse_steps: int,
     noise: NoiseStream,
-    record_increments: bool = False,
-) -> Tuple[List[CoupledPathState], Optional[CouplingAudit]]:
+) -> List[CoupledPathState]:
     """Simulate a synchronously coupled fine/coarse pair from a common start.
 
     ``gamma`` is the coarse step; the fine path uses gamma / 2 and is reported
@@ -266,9 +244,6 @@ def simulate_coupled(
             coarse=PathState(xc.copy(), 0, gamma),
         )
     ]
-    fine_inc = np.empty((n_coarse_steps, 2, model.dim)) if record_increments else None
-    coarse_inc = np.empty((n_coarse_steps, model.dim)) if record_increments else None
-
     for m in range(n_coarse_steps):
         z1 = noise.next_vector()
         z2 = noise.next_vector()
@@ -281,23 +256,13 @@ def simulate_coupled(
             raise NumericalOverflowError(
                 f"non-finite position after coarse step {m + 1}", step_index=m + 1
             )
-        if record_increments:
-            fine_inc[m, 0] = inc1
-            fine_inc[m, 1] = inc2
-            coarse_inc[m] = inc1 + inc2
         states.append(
             CoupledPathState(
                 fine=PathState(xf.copy(), 2 * (m + 1), gamma_fine),
                 coarse=PathState(xc.copy(), m + 1, gamma),
             )
         )
-
-    audit = (
-        CouplingAudit(fine_increments=fine_inc, coarse_increments=coarse_inc)
-        if record_increments
-        else None
-    )
-    return states, audit
+    return states
 
 
 def occupation_average(

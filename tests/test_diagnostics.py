@@ -326,19 +326,19 @@ class TestPenalizationProbe:
             )
 
 
-def run_diagnostic(name, x, y):
+def run_diagnostic(name, x, y, sigma=1.0, horizon=1.0):
     """One short run of a start-point-taking diagnostic in three dimensions."""
     power3 = make_power(3, 0.75)
     if name == "strong_error":
-        return strong_error_curve(power3, 1.0, x, [0.1, 0.05], 1.0, R=4, seed=2)
+        return strong_error_curve(power3, sigma, x, [0.1, 0.05], horizon, R=4, seed=2)
     if name == "confluence":
-        return confluence_curve(power3, 1.0, x, y, 0.1, 1.0, R=4, seed=2)
+        return confluence_curve(power3, sigma, x, y, 0.1, horizon, R=4, seed=2)
     if name == "moments":
         return moment_envelope_check(
-            power3, 1.0, x, 0.1, 2.0, 1.0, R=4, seed=2, c_margin=8.0
+            power3, sigma, x, 0.1, 2.0, horizon, R=4, seed=2, c_margin=8.0
         )
     return decreasing_penalization_probe(
-        make_quadratic(3), 0.4, 0.2, 1.0, x, y, 0.05, 1.0, R=4, seed=2
+        make_quadratic(3), 0.4, 0.2, sigma, x, y, 0.05, horizon, R=4, seed=2
     )
 
 
@@ -348,8 +348,8 @@ DIAGNOSTICS = ["strong_error", "confluence", "moments", "probe"]
 class TestStartPoints:
     @pytest.mark.parametrize("name", DIAGNOSTICS)
     def test_scalar_starts_broadcast(self, name):
-        scalar = run_diagnostic(name, 1.0, -1.0).to_dict()
-        full = run_diagnostic(name, np.full(3, 1.0), np.full(3, -1.0)).to_dict()
+        scalar = run_diagnostic(name, 1.0, -1.0)
+        full = run_diagnostic(name, np.full(3, 1.0), np.full(3, -1.0))
         assert scalar == full
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -357,3 +357,35 @@ class TestStartPoints:
     def test_non_finite_starts_are_invalid(self, name, bad):
         with pytest.raises(InvalidParameterError, match="finite"):
             run_diagnostic(name, np.array([0.5, bad, 0.0]), np.zeros(3))
+
+
+class TestProbeArguments:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"horizon": np.nan},
+            {"horizon": np.inf},
+            {"sigma": np.nan},
+            {"sigma": np.inf},
+            {"sigma": 0.0},
+            {"sigma": -1.0},
+        ],
+        ids=["horizon-nan", "horizon-inf", "sigma-nan", "sigma-inf", "sigma-0", "sigma-neg"],
+    )
+    @pytest.mark.parametrize("name", DIAGNOSTICS)
+    def test_non_finite_or_nonpositive_arguments_are_invalid(self, name, bad):
+        with pytest.raises(InvalidParameterError):
+            run_diagnostic(name, 1.0, -1.0, **bad)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("oracle", ["reference_for", "moment", "long_run", "w1"])
+    def test_oracles_reject_a_bad_sigma(self, quad1, oracle, sigma):
+        with pytest.raises(InvalidParameterError, match="sigma"):
+            if oracle == "reference_for":
+                reference_for(quad1, squared_norm, sigma)
+            elif oracle == "moment":
+                reference_moment(quad1, sigma, squared_norm)
+            elif oracle == "long_run":
+                long_run_reference(quad1, squared_norm, sigma, seed=0)
+            else:
+                w1_distance_1d(quad1, quad1, sigma)

@@ -44,17 +44,9 @@ def test_make_streams_assigns_ids_in_order():
 
 
 class TestInitPositions:
-    def test_scalar_broadcasts(self):
-        pos = engine._init_positions(0.5, 3, 2)
-        np.testing.assert_array_equal(pos, np.full((3, 2), 0.5))
-
     def test_vector_tiles_across_lanes(self):
         pos = engine._init_positions(np.array([1.0, 2.0]), 3, 2)
         np.testing.assert_array_equal(pos, np.tile([1.0, 2.0], (3, 1)))
-
-    def test_full_matrix_passes_through(self):
-        want = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(engine._init_positions(want, 3, 2), want)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -89,7 +81,7 @@ class TestCoupledDiffSums:
             model, squared_norm, x0, 0.1, 1.0, n, 0, streams
         )
         assert ok.all()
-        states, _ = simulate_coupled(model, x0, 0.1, 1.0, n, NoiseStream(11, 9, d))
+        states = simulate_coupled(model, x0, 0.1, 1.0, n, NoiseStream(11, 9, d))
         np.testing.assert_array_equal(pos_f[0], states[-1].fine.position)
         np.testing.assert_array_equal(pos_c[0], states[-1].coarse.position)
 

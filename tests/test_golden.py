@@ -2,8 +2,9 @@
 
 The driver values were recorded before the numpy fallback was rewritten to
 advance the coupled pair as one array with pre-scaled noise, the series values
-before the series helpers joined the blocked step loop.  Any change to the
-per-step floating-point operations shows up here as a changed bit.
+before the series helpers joined the blocked step loop, the oracle values
+before the quadratures shared one weight and one ratio routine.  Any change to
+the floating-point operations shows up here as a changed bit.
 """
 
 import json
@@ -14,11 +15,16 @@ import pytest
 from mlgibbs import engine
 from mlgibbs.cli import main
 from mlgibbs.diagnostics import (
+    _radial_moment,
     confluence_curve,
     decreasing_penalization_probe,
+    fourth_moment_reference,
     moment_envelope_check,
+    reference_for,
+    reference_moment,
+    w1_distance_1d,
 )
-from mlgibbs.observables import coordinate
+from mlgibbs.observables import coordinate, euclidean_norm, fourth_norm, squared_norm
 from mlgibbs.potentials import (
     Convexity,
     ConvexityProfile,
@@ -255,3 +261,86 @@ def test_ridged_pair_final_positions_bits(chunk7, quad2):
         engine.make_streams(5, [0, 3, 8], 2),
     )
     assert _hex(final_a) + _hex(final_b) == PAIR_FINAL_HEX
+
+
+# Oracle goldens, recorded before the line and radial quadratures shared one
+# weight builder and one ratio routine: method, then value and error_estimate
+# as float.hex.
+ORACLE_MODELS = {
+    "power1": (lambda: make_power(1, 0.75), 1.0),
+    "power3": (lambda: make_power(3, 0.75), 1.0),
+    "ridged-power3": (lambda: penalize(make_power(3, 0.75), 0.3), 0.8),
+    "quad1-off": (lambda: make_quadratic(1, center=0.5), 1.3),
+}
+ORACLE_OBSERVABLES = {
+    "norm2": squared_norm,
+    "norm4": fourth_norm,
+    "coord0": coordinate(0),
+    "norm": euclidean_norm,
+}
+REFERENCE_HEX = {
+    ("power1", "norm2"): ("quadrature_1d", "0x1.97f8bc4f87bb4p-2", "0x1.ea9b2bc5e1b40p-36"),
+    ("power1", "norm4"): ("quadrature_1d", "0x1.0b3977893f4acp-1", "0x1.e596d6df41379p-37"),
+    ("power1", "coord0"): ("quadrature_1d", "0x0.0p+0", "0x1.032c6a39e9a0dp-48"),
+    ("power1", "norm"): ("quadrature_1d", "0x1.fd3c7fb684f20p-2", "0x1.455f09dad332cp-38"),
+    ("power3", "norm2"): ("quadrature_1d", "0x1.4f5d25341ef4ep+0", "0x1.4d20cdd3684afp-40"),
+    ("power3", "norm4"): ("quadrature_1d", "0x1.8aff51d3f3ef7p+1", "0x1.bd169e96cf080p-39"),
+    ("power3", "coord0"): ("closed_form", "0x0.0p+0", "0x0.0p+0"),
+    ("power3", "norm"): ("quadrature_1d", "0x1.0b2ab1b239093p+0", "0x1.fe5219d12bb65p-37"),
+    ("ridged-power3", "norm2"): ("quadrature_1d", "0x1.38a0bed751b59p-1", "0x1.70095a0cb620ep-38"),
+    ("ridged-power3", "norm4"): ("quadrature_1d", "0x1.4b9aa6679f6a6p-1", "0x1.08613277cf34dp-35"),
+    ("ridged-power3", "coord0"): ("closed_form", "0x0.0p+0", "0x0.0p+0"),
+    ("ridged-power3", "norm"): ("quadrature_1d", "0x1.6e9027dc9515ap-1", "0x1.29f2b0001e7b7p-40"),
+    ("quad1-off", "norm2"): ("closed_form", "0x1.1851eb851eb86p+0", "0x0.0p+0"),
+    ("quad1-off", "norm4"): ("closed_form", "0x1.bc6cf41f212d9p+1", "0x0.0p+0"),
+    ("quad1-off", "coord0"): ("closed_form", "0x1.0000000000000p-1", "0x0.0p+0"),
+    ("quad1-off", "norm"): ("quadrature_1d", "0x1.adbed4df97d5cp-1", "0x1.319872fffa1aap-33"),
+}
+FOURTH_MOMENT_HEX = ("quadrature_1d", "0x1.4ffcb7f9e1cd8p-3", "0x1.57d56bd2ebdabp-39")
+SCALAR_LAMBDA_HEX = ("quadrature_1d", "0x1.c000000000002p-1", "0x1.0565c67c9f4a3p-39")
+RADIAL_HEX = {
+    1: ("quadrature_1d", "0x1.e83f51d63ef47p+0", "0x1.19cd666c0fcf6p-34"),
+    2: ("quadrature_1d", "0x1.13e84e8a127e9p+2", "0x1.464c09026c3d3p-32"),
+    4: ("quadrature_1d", "0x1.07abb24e2dd6cp+5", "0x1.53f6d907a65c0p-33"),
+}
+W1_GOLDENS = [
+    (lambda: make_quadratic(1), lambda: make_quadratic(1, center=0.5), 1.0,
+     "0x1.fffffffffffbcp-2"),
+    (lambda: make_power(1, 0.75), lambda: penalize(make_power(1, 0.75), 0.3), 1.0,
+     "0x1.b8b9101998068p-5"),
+    (lambda: make_quadratic(1), lambda: make_quadratic(1, scale=2.0), 0.7,
+     "0x1.d9cc0c1e53fe1p-4"),
+]
+
+
+def _ref_hex(ref):
+    return (ref.method, ref.value.hex(), ref.error_estimate.hex())
+
+
+@pytest.mark.parametrize("key", list(REFERENCE_HEX), ids="-".join)
+def test_reference_for_bits(key):
+    make, sigma = ORACLE_MODELS[key[0]]
+    ref = reference_for(make(), ORACLE_OBSERVABLES[key[1]], sigma)
+    assert _ref_hex(ref) == REFERENCE_HEX[key]
+
+
+def test_fourth_moment_reference_bits():
+    assert _ref_hex(fourth_moment_reference(make_power(2, 0.9), 0.7)) == FOURTH_MOMENT_HEX
+
+
+def test_reference_moment_scalar_observable_bits():
+    with pytest.warns(RuntimeWarning, match="one row at a time"):
+        ref = reference_moment(
+            make_quadratic(1, center=0.5), 1.0, lambda x: float(x[0]) ** 3
+        )
+    assert _ref_hex(ref) == SCALAR_LAMBDA_HEX
+
+
+@pytest.mark.parametrize("power", sorted(RADIAL_HEX))
+def test_radial_moment_bits(power):
+    assert _ref_hex(_radial_moment(make_power(4, 0.6), 1.1, power)) == RADIAL_HEX[power]
+
+
+@pytest.mark.parametrize("make_a, make_b, sigma, want", W1_GOLDENS, ids=["shift", "ridge", "scale"])
+def test_w1_distance_bits(make_a, make_b, sigma, want):
+    assert w1_distance_1d(make_a(), make_b(), sigma).hex() == want
