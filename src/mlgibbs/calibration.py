@@ -56,6 +56,39 @@ class RegimeConstants:
     c_r: float = 1.0
 
 
+def _check_positive(name: str, value: float):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(name: str, value: float):
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise InvalidParameterError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _check_dimension(d: int):
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise InvalidParameterError(f"d must be a positive integer, got {d}")
+
+
+def _check_delta(delta: float):
+    if not 0.0 < delta <= 0.25:
+        raise InvalidParameterError(f"delta must lie in (0, 1/4], got {delta}")
+
+
+def _check_open_rho(rho: float):
+    if not 0.0 < rho < 1.0:
+        raise InvalidParameterError(f"rho must lie in (0, 1), got {rho}")
+
+
+def _check_admissible(name: str, gamma: float, gamma_star: float):
+    # the slack lets a step derived from gamma_star through rounding pass
+    if gamma > gamma_star * (1.0 + 1e-12):
+        raise InvalidParameterError(
+            f"{name}={gamma} exceeds the admissible step {gamma_star}"
+        )
+
+
 def _require_parametric(profile: ConvexityProfile):
     if profile.kind not in _PARAMETRIC:
         raise InvalidParameterError(
@@ -64,42 +97,39 @@ def _require_parametric(profile: ConvexityProfile):
         )
 
 
+def step_bound(profile: ConvexityProfile) -> float:
+    """Largest admissible Euler step gamma_star: (1 - r) / (4 max(c_upper, L))
+    for a two-sided parametric profile, 1 / (4L) otherwise."""
+
+    if profile.kind is Convexity.PARAMETRIC_TWO_SIDED:
+        return (1.0 - profile.r) / (4.0 * max(profile.c_upper, profile.L))
+    return 1.0 / (4.0 * profile.L)
+
+
 def regime_constants(
     profile: ConvexityProfile, d: int, sigma: float, c_r: float = 1.0
 ) -> RegimeConstants:
     """Step bound and moment scale implied by a parametric convexity profile."""
 
-    if d < 1:
-        raise InvalidParameterError(f"d must be a positive integer, got {d}")
-    if sigma < 0.0:
-        raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
-    if c_r <= 0.0:
-        raise InvalidParameterError(f"c_r must be positive, got {c_r}")
+    _check_dimension(d)
+    _check_nonnegative("sigma", sigma)
+    _check_positive("c_r", c_r)
     _require_parametric(profile)
     L, c_lo, r = profile.L, profile.c_lower, profile.r
-    if profile.kind is Convexity.PARAMETRIC_TWO_SIDED:
-        top = max(profile.c_upper, L)
-        gamma_star = (1.0 - r) / (4.0 * top)
-        psi_bar = c_r * (d * (1.0 + sigma * sigma) * top) / c_lo
-    else:
-        gamma_star = 1.0 / (4.0 * L)
-        psi_bar = (1.0 + sigma * sigma) * (
-            d * L + (1.0 + d * L / c_lo) ** (1.0 / (1.0 - r))
+    try:
+        if profile.kind is Convexity.PARAMETRIC_TWO_SIDED:
+            psi_bar = c_r * (d * (1.0 + sigma * sigma) * max(profile.c_upper, L)) / c_lo
+        else:
+            psi_bar = (1.0 + sigma * sigma) * (
+                d * L + (1.0 + d * L / c_lo) ** (1.0 / (1.0 - r))
+            )
+    except OverflowError:
+        psi_bar = math.inf
+    if not d <= psi_bar < math.inf:
+        raise InvalidParameterError(
+            f"computed moment scale {psi_bar} is below the dimension or not finite"
         )
-    if gamma_star > 1.0 / (4.0 * L) + 1e-15:
-        raise InvalidParameterError("computed step bound exceeds 1/(4L)")
-    if psi_bar < d:
-        raise InvalidParameterError("computed moment scale fell below the dimension")
-    return RegimeConstants(gamma_star=gamma_star, psi_bar=psi_bar, c_r=c_r)
-
-
-def step_bound(profile: ConvexityProfile, d: int, sigma: float, c_r: float = 1.0) -> float:
-    """Largest admissible Euler step: gamma_star of regime_constants for a
-    parametric profile, 1 / (4L) otherwise."""
-
-    if profile.kind in _PARAMETRIC:
-        return regime_constants(profile, d, sigma, c_r).gamma_star
-    return 1.0 / (4.0 * profile.L)
+    return RegimeConstants(gamma_star=step_bound(profile), psi_bar=psi_bar, c_r=c_r)
 
 
 @dataclass(frozen=True)
@@ -124,24 +154,21 @@ class LevelSchedule:
             raise InvalidParameterError(
                 f"schedule needs J + 1 = {self.J + 1} steps and horizons"
             )
-        g0 = self.gamma[0]
-        if not g0 > 0.0:
-            raise InvalidParameterError(f"gamma[0] must be positive, got {g0}")
         for j, g in enumerate(self.gamma):
-            if g != g0 * 2.0 ** (-j):
+            _check_positive(f"gamma[{j}]", g)
+            if g != self.gamma[0] * 2.0 ** (-j):
                 raise InvalidParameterError(f"gamma[{j}] must equal gamma[0] * 2^-{j}")
-        for j, t in enumerate(self.T):
-            if not t > 0.0:
-                raise InvalidParameterError(f"T[{j}] must be positive, got {t}")
-            grid = self.gamma[max(j - 1, 0)]
-            n = round(t / grid)
+        for j, (t, grid) in enumerate(zip(self.T, _coarse_grids(self.gamma))):
+            _check_positive(f"T[{j}]", t)
+            q = t / grid
+            n = round(q) if math.isfinite(q) else 0
             if n < 1 or abs(t - n * grid) > 1e-9 * max(1.0, t):
                 raise InvalidParameterError(
                     f"T[{j}]={t} is not a grid multiple of {grid}"
                 )
         if not 0.0 <= self.rho <= 1.0:
             raise InvalidParameterError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.tau < 0.0 or self.tau >= min(self.T):
+        if not 0.0 <= self.tau < min(self.T):
             raise InvalidParameterError(
                 f"tau={self.tau} must lie in [0, min_j T[j])"
             )
@@ -156,28 +183,11 @@ class LevelSchedule:
     @property
     def step_counts(self) -> Tuple[int, ...]:
         """Steps per level on its coarse grid: T0/gamma0, then T_j/gamma_{j-1}."""
-        counts = [round(self.T[0] / self.gamma[0])]
-        for j in range(1, self.J + 1):
-            counts.append(round(self.T[j] / self.gamma[j - 1]))
-        return tuple(counts)
+        return tuple(round(t / g) for t, g in zip(self.T, _coarse_grids(self.gamma)))
 
     def burn_counts(self) -> Tuple[int, ...]:
         """Warm-up steps per level: tau rounded up to each level's coarse grid."""
-        burns = [grid_count_up(self.tau, self.gamma[0])]
-        for j in range(1, self.J + 1):
-            burns.append(grid_count_up(self.tau, self.gamma[j - 1]))
-        return tuple(burns)
-
-    def scaled(self, multiplier: float) -> "LevelSchedule":
-        """Uniformly stretch every horizon, re-rounding to the level grids."""
-        if not multiplier > 0.0:
-            raise InvalidParameterError(f"multiplier must be positive, got {multiplier}")
-        return build_schedule(
-            self.gamma[0],
-            [multiplier * t for t in self.T],
-            tau=self.tau,
-            rho=self.rho,
-        )
+        return tuple(grid_count_up(self.tau, g) for g in _coarse_grids(self.gamma))
 
     def to_dict(self) -> dict:
         return {
@@ -189,20 +199,17 @@ class LevelSchedule:
         }
 
 
+def _coarse_grids(gamma: Tuple[float, ...]) -> Tuple[float, ...]:
+    """Step grid of each level: level j runs on gamma[max(j - 1, 0)]."""
+    return gamma[:1] + gamma[:-1]
+
+
 def build_schedule(gamma0: float, horizons, tau: float = 0.0, rho: float = 0.5) -> LevelSchedule:
     """Assemble a LevelSchedule, rounding each horizon up to its level grid."""
 
-    if not gamma0 > 0.0:
-        raise InvalidParameterError(f"gamma0 must be positive, got {gamma0}")
-    J = len(horizons) - 1
-    gamma = tuple(gamma0 * 2.0 ** (-j) for j in range(J + 1))
-    T = []
-    for j, t in enumerate(horizons):
-        if not t > 0.0:
-            raise InvalidParameterError(f"horizon T[{j}] must be positive, got {t}")
-        grid = gamma[max(j - 1, 0)]
-        T.append(grid_count_up(t, grid) * grid)
-    return LevelSchedule(J=J, gamma=gamma, T=tuple(T), tau=tau, rho=rho)
+    gamma = tuple(gamma0 * 2.0 ** (-j) for j in range(len(horizons)))
+    T = tuple(grid_count_up(t, g) * g for t, g in zip(horizons, _coarse_grids(gamma)))
+    return LevelSchedule(J=len(horizons) - 1, gamma=gamma, T=T, tau=tau, rho=rho)
 
 
 def single_level_schedule(gamma0: float, horizon: float, tau: float = 0.0) -> LevelSchedule:
@@ -212,34 +219,17 @@ def single_level_schedule(gamma0: float, horizon: float, tau: float = 0.0) -> Le
 
 @contextmanager
 def _within_float_range(epsilon: float):
-    # an underflowed epsilon^2 makes a schedule formula divide by zero, or
-    # take the ceiling or a power of an infinite ratio
+    # Wraps formulas of validated inputs.  An underflowed epsilon^2 makes them
+    # divide by zero, or take the ceiling or a power of an infinite ratio, or
+    # the logarithm of zero (ValueError); a step or horizon out of range fails
+    # the LevelSchedule validator (InvalidParameterError, also a ValueError).
     try:
         yield
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise InfeasibleCalibrationError(
-            f"accuracy epsilon={epsilon} puts the schedule beyond float range ({exc})"
+            f"accuracy epsilon={epsilon} with the given constants puts the "
+            f"calibration beyond float range ({exc})"
         ) from None
-
-
-def _require_in_range(epsilon: float, name: str, value: float):
-    if not (value > 0.0 and math.isfinite(value)):
-        raise InfeasibleCalibrationError(
-            f"accuracy epsilon={epsilon} gives {name}={value}, which is zero or "
-            "not finite"
-        )
-
-
-def _calibrated_schedule(epsilon: float, gamma0: float, horizons, rho: float) -> LevelSchedule:
-    """build_schedule for formula output, whose steps and step counts must be
-    positive and finite."""
-    J = len(horizons) - 1
-    _require_in_range(epsilon, "gamma0", gamma0)
-    _require_in_range(epsilon, f"gamma[{J}]", gamma0 * 2.0 ** (-J))
-    for j, t in enumerate(horizons):
-        grid = gamma0 * 2.0 ** (-max(j - 1, 0))
-        _require_in_range(epsilon, f"step count T[{j}]/gamma[{max(j - 1, 0)}]", t / grid)
-    return build_schedule(gamma0, horizons, tau=0.0, rho=rho)
 
 
 def calibrate_single_level(
@@ -251,15 +241,13 @@ def calibrate_single_level(
     sized like the level-0 horizon of the direct route.
     """
 
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
-    if not gamma0 > 0.0:
-        raise InvalidParameterError(f"gamma0 must be positive, got {gamma0}")
-    if sigma <= 0.0 or d < 1:
-        raise InvalidParameterError("sigma must be positive and d >= 1")
+    _check_positive("epsilon", epsilon)
+    _check_positive("sigma", sigma)
+    _check_dimension(d)
+    _check_positive("gamma0", gamma0)
     with _within_float_range(epsilon):
         horizon = sigma**2 * d * max(1.0, math.log(1.0 / gamma0)) / epsilon**2
-    return _calibrated_schedule(epsilon, gamma0, [horizon], rho=0.0)
+        return single_level_schedule(gamma0, horizon)
 
 
 @dataclass(frozen=True)
@@ -311,15 +299,13 @@ def calibrate_penalized(
     J^2 2^-J.
     """
 
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
-    if sigma <= 0.0 or m4 <= 0.0 or L <= 0.0:
-        raise InvalidParameterError("sigma, m4 and L must be positive")
-    if d < 1:
-        raise InvalidParameterError(f"d must be a positive integer, got {d}")
-
+    _check_penalized_args(epsilon, sigma, d, m4, L)
     alpha = 2.0 * epsilon / math.sqrt(m4)
-    _require_in_range(epsilon, "alpha", alpha)
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise InfeasibleCalibrationError(
+            f"accuracy epsilon={epsilon} gives ridge alpha={alpha}, which is zero or "
+            "not finite"
+        )
     with _within_float_range(epsilon):
         if statement_mode:
             gamma0 = epsilon / (math.sqrt(m4) * L * L)
@@ -354,8 +340,7 @@ def calibrate_penalized(
         else:
             T0 = base / (alpha * alpha * epsilon * epsilon)
             horizons = [T0 * 2.0 ** (-j) for j in range(J + 1)]
-
-    schedule = _calibrated_schedule(epsilon, gamma0, horizons, rho)
+        schedule = build_schedule(gamma0, horizons, rho=rho)
     if schedule.T[J] < schedule.gamma[0]:
         raise InfeasibleCalibrationError(
             f"deepest horizon T_J={schedule.T[J]} fell below the base step "
@@ -378,38 +363,41 @@ def complexity_bound_penalized(
 ) -> float:
     """Predicted gradient-evaluation budget of the penalized route."""
 
+    _check_penalized_args(epsilon, sigma, d, m4, L)
     if not 0.0 < gamma0 < 1.0:
         raise InvalidParameterError(f"gamma0 must lie in (0, 1), got {gamma0}")
-    if epsilon <= 0.0 or sigma <= 0.0 or m4 <= 0.0 or L <= 0.0 or d < 1:
-        raise InvalidParameterError("epsilon, sigma, m4, L must be positive and d >= 1")
-    levels = math.ceil(math.log2(0.5 * sigma * sigma * d * math.sqrt(m4) * epsilon**-3))
+    with _within_float_range(epsilon):
+        levels = math.ceil(math.log2(0.5 * sigma * sigma * d * math.sqrt(m4) * epsilon**-3))
+        cost = (
+            (1.0 / 3.0)
+            * math.log(1.0 / gamma0)
+            * m4**1.5
+            * L * L
+            * sigma * sigma
+            * d
+            * epsilon**-5
+            * levels**3
+        )
     if levels < 1:
         raise InvalidParameterError(
             f"accuracy epsilon={epsilon} is too loose for the complexity bound"
         )
-    return (
-        (1.0 / 3.0)
-        * math.log(1.0 / gamma0)
-        * m4**1.5
-        * L * L
-        * sigma * sigma
-        * d
-        * epsilon**-5
-        * levels**3
-    )
+    return cost
+
+
+def _check_penalized_args(epsilon, sigma, d, m4, L):
+    _check_positive("epsilon", epsilon)
+    _check_positive("sigma", sigma)
+    _check_dimension(d)
+    _check_positive("m4", m4)
+    _check_positive("L", L)
 
 
 def _check_weak_args(epsilon, delta, gamma0, constants):
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
-    if not 0.0 < delta <= 0.25:
-        raise InvalidParameterError(f"delta must lie in (0, 1/4], got {delta}")
-    if not gamma0 > 0.0:
-        raise InvalidParameterError(f"gamma0 must be positive, got {gamma0}")
-    if gamma0 > constants.gamma_star * (1.0 + 1e-12):
-        raise InvalidParameterError(
-            f"gamma0={gamma0} exceeds the admissible step {constants.gamma_star}"
-        )
+    _check_positive("epsilon", epsilon)
+    _check_delta(delta)
+    _check_positive("gamma0", gamma0)
+    _check_admissible("gamma0", gamma0, constants.gamma_star)
 
 
 def calibrate_weak_i(
@@ -451,8 +439,8 @@ def calibrate_weak_i(
             * psi ** (1.5 + (4.5 + delta) * r)
             / (epsilon * epsilon)
         )
-    horizons = [T0 * 2.0 ** (-0.5 * j) for j in range(J + 1)]
-    return _calibrated_schedule(epsilon, gamma0, horizons, rho=0.5)
+        horizons = [T0 * 2.0 ** (-0.5 * j) for j in range(J + 1)]
+        return build_schedule(gamma0, horizons, rho=0.5)
 
 
 def calibrate_weak_ii(
@@ -476,8 +464,7 @@ def calibrate_weak_ii(
 
     _require_parametric(profile)
     _check_weak_args(epsilon, delta, gamma0, constants)
-    if not 0.0 < rho < 1.0:
-        raise InvalidParameterError(f"rho must lie in (0, 1), got {rho}")
+    _check_open_rho(rho)
     L, c_lo, r = profile.L, profile.c_lower, profile.r
     psi = constants.psi_bar
 
@@ -496,8 +483,8 @@ def calibrate_weak_ii(
             * psi ** (1.0 + (4.0 - 2.0 * rho + delta) * r)
             / (epsilon * epsilon)
         )
-    horizons = [T0 * 2.0 ** (-(1.0 - rho) * j) for j in range(J + 1)]
-    return _calibrated_schedule(epsilon, gamma0, horizons, rho=rho)
+        horizons = [T0 * 2.0 ** (-(1.0 - rho) * j) for j in range(J + 1)]
+        return build_schedule(gamma0, horizons, rho=rho)
 
 
 def complexity_bound_weak(
@@ -512,31 +499,31 @@ def complexity_bound_weak(
     """Predicted gradient-evaluation budget of the direct route."""
 
     _require_parametric(profile)
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise InvalidParameterError(f"epsilon must be positive and finite, got {epsilon}")
-    if not 0.0 < delta <= 0.25:
-        raise InvalidParameterError(f"delta must lie in (0, 1/4], got {delta}")
+    _check_positive("epsilon", epsilon)
+    _check_delta(delta)
     L, c_lo, r = profile.L, profile.c_lower, profile.r
     psi = constants.psi_bar
     if variant == "i":
-        return (
-            math.sqrt(L)
-            * min(c_lo**-1.25, c_lo ** (-3.5 - delta))
-            * psi ** (1.5 + (4.5 + delta) * r)
-            * epsilon**-3
-        )
+        with _within_float_range(epsilon):
+            return (
+                math.sqrt(L)
+                * min(c_lo**-1.25, c_lo ** (-3.5 - delta))
+                * psi ** (1.5 + (4.5 + delta) * r)
+                * epsilon**-3
+            )
     if variant == "ii":
-        if not 0.0 < rho < 1.0:
-            raise InvalidParameterError(f"rho must lie in (0, 1), got {rho}")
-        if gamma0 is None or not gamma0 > 0.0:
-            raise InvalidParameterError("variant ii requires a positive gamma0")
-        return (
-            gamma0**-rho
-            * L ** (2.0 * rho)
-            * max(c_lo ** (min(1.25, 2.0 * rho) + delta), c_lo ** (-2.5 - delta))
-            * psi ** (1.0 + 0.5 * rho + (4.0 - rho + delta) * r)
-            * epsilon ** (-2.0 - rho)
-        )
+        _check_open_rho(rho)
+        if gamma0 is None:
+            raise InvalidParameterError("variant ii requires gamma0")
+        _check_positive("gamma0", gamma0)
+        with _within_float_range(epsilon):
+            return (
+                gamma0**-rho
+                * L ** (2.0 * rho)
+                * max(c_lo ** (min(1.25, 2.0 * rho) + delta), c_lo ** (-2.5 - delta))
+                * psi ** (1.0 + 0.5 * rho + (4.0 - rho + delta) * r)
+                * epsilon ** (-2.0 - rho)
+            )
     raise InvalidParameterError(f"variant must be 'i' or 'ii', got {variant!r}")
 
 
@@ -556,8 +543,8 @@ def penalization_bias_bounds(alpha: float, m4: float) -> BiasBounds:
     penalization and no bias.
     """
 
-    if alpha < 0.0 or m4 <= 0.0:
-        raise InvalidParameterError("alpha must be nonnegative and m4 positive")
+    _check_nonnegative("alpha", alpha)
+    _check_positive("m4", m4)
     return BiasBounds(
         kl=alpha * alpha * m4 / 8.0,
         w1=alpha * math.sqrt(m4) / (2.0 * math.sqrt(2.0)),
@@ -576,8 +563,10 @@ def decreasing_penalization_gap(
         raise InvalidParameterError(
             f"need alpha > alpha_tilde > 0, got alpha={alpha}, alpha_tilde={alpha_tilde}"
         )
-    if t < 0.0 or xy_dist2 < 0.0 or d < 1 or sigma < 0.0:
-        raise InvalidParameterError("t, xy_dist2 must be nonnegative; d >= 1; sigma >= 0")
+    _check_nonnegative("t", t)
+    _check_nonnegative("xy_dist2", xy_dist2)
+    _check_dimension(d)
+    _check_nonnegative("sigma", sigma)
     return (
         math.exp(-2.0 * alpha * t) * xy_dist2
         + (alpha - alpha_tilde) * d * sigma * sigma / alpha_tilde

@@ -75,6 +75,14 @@ _TOP_FIELDS = {
     "safety_T_multiplier",
 }
 _POTENTIAL_FIELDS = {"name", "dim", "p", "scale", "center", "penalty_alpha"}
+# methods that read each method-specific field; any other method rejects it
+_READ_BY = {
+    "gamma0": ("weak_i", "weak_ii", "single_level"),
+    "statement_mode": ("penalized",),
+    "delta": ("weak_i", "weak_ii"),
+    "rho": ("weak_ii",),
+    "c_r": ("weak_i", "weak_ii"),
+}
 
 
 @dataclass(frozen=True)
@@ -163,6 +171,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"config field 'method' must be one of {_METHODS}, got {method!r}",
             field="method",
         )
+    for key, readers in _READ_BY.items():
+        if key in raw and method not in readers:
+            raise ConfigError(
+                f"config field {key!r} is not read by method {method!r}", field=key
+            )
 
     epsilons = None
     if "epsilons" in raw:
@@ -192,9 +205,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "config field 'statement_mode' must be a boolean", field="statement_mode"
         )
     tau = raw.get("tau", 0.0)
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or tau < 0:
+    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 <= tau < math.inf:
         raise ConfigError(
-            "config field 'tau' must be a nonnegative number", field="tau"
+            "config field 'tau' must be a nonnegative, finite number", field="tau"
         )
 
     sigma = _positive_real(_need(raw, "sigma"), "sigma")
@@ -279,7 +292,7 @@ class RunSetup:
 def _single_level_setup(config, model, epsilon) -> LevelSchedule:
     # baseline comparator: step bounded by the admissible range and the
     # accuracy
-    bound = step_bound(model.profile, model.dim, config.sigma, config.c_r)
+    bound = step_bound(model.profile)
     gamma0 = config.gamma0 if config.gamma0 is not None else min(bound, epsilon)
     return calibrate_single_level(epsilon, config.sigma, model.dim, gamma0)
 
@@ -337,12 +350,12 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
     else:
         schedule = _single_level_setup(config, target, epsilon)
 
-    if config.safety_T_multiplier != 1.0:
-        schedule = schedule.scaled(config.safety_T_multiplier)
-    if config.tau > 0.0:
-        schedule = build_schedule(
-            schedule.gamma[0], schedule.T, tau=config.tau, rho=schedule.rho
-        )
+    schedule = build_schedule(
+        schedule.gamma[0],
+        [config.safety_T_multiplier * t for t in schedule.T],
+        tau=config.tau,
+        rho=schedule.rho,
+    )
     return RunSetup(
         target=target,
         sim_model=sim_model,

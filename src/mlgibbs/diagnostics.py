@@ -351,7 +351,7 @@ def long_run_reference(
     """
 
     _check_sigma(sigma)
-    bound = step_bound(model.profile, model.dim, 1.0)
+    bound = step_bound(model.profile)
     gamma = bound / 64.0
     n_total = grid_count_up(1e5 * bound, gamma)
     n_burn = n_total // 10
@@ -507,6 +507,13 @@ def _probe_steps(
     return grid_count_up(horizon, gamma)
 
 
+def _probe_series(series: np.ndarray, gamma: float, what: str):
+    """Times k * gamma and float values of a probe series, which must be finite."""
+    if not np.all(np.isfinite(series)):
+        raise NumericalOverflowError(f"{what} overflowed")
+    return tuple(k * gamma for k in range(len(series))), tuple(float(v) for v in series)
+
+
 @dataclass(frozen=True)
 class StrongErrorCurve:
     """Terminal fine-coarse gap per step size, with log-log fits.
@@ -608,10 +615,8 @@ def confluence_curve(
     series, _, _ = engine.pair_distance_series(
         model, model, x, y, gamma, sigma, n, streams
     )
-    if not np.all(np.isfinite(series)):
-        raise NumericalOverflowError("shared-noise pair overflowed")
-    times = tuple(k * gamma for k in range(n + 1))
-    return ConfluenceCurve(times=times, mean_square_distances=tuple(float(v) for v in series))
+    times, values = _probe_series(series, gamma, "shared-noise pair")
+    return ConfluenceCurve(times=times, mean_square_distances=values)
 
 
 def quadratic_confluence_theory(
@@ -662,15 +667,14 @@ def moment_envelope_check(
     envelope = c_margin * (u0 + psi) ** p
     streams = engine.make_streams(seed, list(range(R)), model.dim)
     series = engine.value_power_series(model, x0, gamma, sigma, n, p, streams)
-    if not np.all(np.isfinite(series)):
-        raise NumericalOverflowError("moment chain overflowed")
-    max_val = float(np.max(series))
+    times, values = _probe_series(series, gamma, "moment chain")
+    max_val = max(values)
     return EnvelopeTrace(
         passed=max_val <= envelope,
         max_ratio=max_val / envelope,
         envelope=envelope,
-        times=tuple(k * gamma for k in range(n + 1)),
-        series=tuple(float(v) for v in series),
+        times=times,
+        series=values,
     )
 
 
@@ -770,11 +774,5 @@ def decreasing_penalization_probe(
         penalize(model, alpha), penalize(model, alpha_tilde),
         x, y, gamma, sigma, n, streams,
     )
-    if not np.all(np.isfinite(series)):
-        raise NumericalOverflowError("penalized pair overflowed")
-    return PenalizationProbe(
-        gap=float(series[-1]),
-        bound=float(bound),
-        times=tuple(k * gamma for k in range(n + 1)),
-        series=tuple(float(v) for v in series),
-    )
+    times, values = _probe_series(series, gamma, "penalized pair")
+    return PenalizationProbe(gap=values[-1], bound=float(bound), times=times, series=values)

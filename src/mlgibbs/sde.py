@@ -47,6 +47,8 @@ def grid_count_up(t: float, gamma: float) -> int:
     if not (t >= 0.0 and math.isfinite(t)):
         raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
     q = t / gamma
+    if not math.isfinite(q):
+        raise InvalidParameterError(f"t={t} spans more steps of {gamma} than a float holds")
     return math.ceil(q - _GRID_SNAP * max(1.0, q))
 
 
@@ -135,13 +137,9 @@ def _check_step_size(model: PotentialModel, gamma: float):
         raise InvalidParameterError(f"gamma must be positive and finite, got {gamma}")
     profile = model.profile
     if profile.kind in _PARAMETRIC:
-        from .calibration import regime_constants
+        from .calibration import _check_admissible, step_bound
 
-        gamma_star = regime_constants(profile, d=model.dim, sigma=1.0).gamma_star
-        if gamma > gamma_star * (1.0 + 1e-12):
-            raise InvalidParameterError(
-                f"gamma={gamma} exceeds the admissible step {gamma_star} for this profile"
-            )
+        _check_admissible("gamma", gamma, step_bound(profile))
     elif gamma * profile.L > 0.5:
         warnings.warn(
             f"gamma={gamma} is large for gradient Lipschitz constant L={profile.L}; "

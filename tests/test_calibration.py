@@ -16,6 +16,7 @@ from mlgibbs import (
     LevelSchedule,
     build_schedule,
     calibrate_penalized,
+    calibrate_single_level,
     calibrate_weak_i,
     calibrate_weak_ii,
     complexity_bound_penalized,
@@ -67,12 +68,12 @@ class TestRegimeConstants:
         two_sided = ConvexityProfile(
             Convexity.PARAMETRIC_TWO_SIDED, L=1.0, c_lower=1.0, c_upper=1.0, r=0.5
         )
-        assert step_bound(two_sided, 1, 1.0) == 0.125
-        assert step_bound(POWER_PROFILE, 3, 2.0, 0.5) == regime_constants(
+        assert step_bound(two_sided) == 0.125
+        assert step_bound(POWER_PROFILE) == regime_constants(
             POWER_PROFILE, 3, 2.0, 0.5
         ).gamma_star
         strong = ConvexityProfile(Convexity.STRONGLY_CONVEX, L=2.0, alpha=1.0)
-        assert step_bound(strong, 1, 1.0) == 0.125
+        assert step_bound(strong) == 0.125
 
 
 class TestBiasBounds:
@@ -137,13 +138,6 @@ class TestLevelSchedule:
     def test_mixing_weight_range(self):
         with pytest.raises(InvalidParameterError):
             LevelSchedule(J=0, gamma=(1.0,), T=(8.0,), tau=0.0, rho=1.5)
-
-    def test_scaled_multiplies_horizons(self):
-        sch = build_schedule(0.5, [10.0, 5.0])
-        big = sch.scaled(2.0)
-        assert big.T == (20.0, 10.0)
-        assert big.gamma == sch.gamma
-        assert big.tau == sch.tau
 
     def test_burn_counts_follow_tau(self):
         sch = build_schedule(0.5, [10.0, 5.0], tau=2.0)
@@ -294,6 +288,26 @@ class TestComplexityBounds:
         rc = regime_constants(POWER_PROFILE, 1, 1.0)
         with pytest.raises(InvalidParameterError):
             complexity_bound_weak("iii", 0.2, POWER_PROFILE, rc, 0.25)
+
+
+_NAN, _INF = math.nan, math.inf
+ARGUMENT_FAULTS = {
+    "regime-sigma-nan": lambda: regime_constants(POWER_PROFILE, 1, _NAN),
+    "penalized-sigma-nan": lambda: calibrate_penalized(0.1, _NAN, 1, 0.75, 1.0),
+    "penalized-sigma-inf": lambda: calibrate_penalized(0.1, _INF, 1, 0.75, 1.0),
+    "penalized-m4-nan": lambda: calibrate_penalized(0.1, 1.0, 1, _NAN, 1.0),
+    "penalized-m4-inf": lambda: calibrate_penalized(0.1, 1.0, 1, _INF, 1.0),
+    "penalized-L-inf": lambda: calibrate_penalized(0.1, 1.0, 1, 0.75, _INF),
+    "penalized-d-fraction": lambda: calibrate_penalized(0.1, 1.0, 1.5, 0.75, 1.0),
+    "single-level-gamma0-inf": lambda: calibrate_single_level(0.2, 1.0, 1, _INF),
+    "schedule-T-inf": lambda: LevelSchedule(J=0, gamma=(1.0,), T=(_INF,), tau=0.0, rho=0.0),
+}
+
+
+@pytest.mark.parametrize("call", ARGUMENT_FAULTS.values(), ids=list(ARGUMENT_FAULTS))
+def test_bad_argument_is_an_invalid_parameter(call):
+    with pytest.raises(InvalidParameterError):
+        call()
 
 
 class TestDecreasingPenalizationGap:

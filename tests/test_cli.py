@@ -71,8 +71,10 @@ class TestParseConfig:
             ({"seed": True}, "seed"),
             ({"statement_mode": "yes"}, "statement_mode"),
             ({"tau": -1.0}, "tau"),
+            ({"tau": float("nan")}, "tau"),
+            ({"tau": float("inf")}, "tau"),
             ({"epsilons": [0.4, 0.2]}, "epsilons"),
-            ({"gamma0": 0.0}, "gamma0"),
+            ({"method": "single_level", "gamma0": 0.0}, "gamma0"),
         ],
     )
     def test_rejections_name_the_offending_field(self, mutation, field):
@@ -107,6 +109,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(base_config())
         assert err.value.field == "seed"
+
+    @pytest.mark.parametrize(
+        "method, field",
+        [
+            ("penalized", "gamma0"),
+            ("penalized", "delta"),
+            ("penalized", "rho"),
+            ("penalized", "c_r"),
+            ("weak_i", "rho"),
+            ("weak_i", "statement_mode"),
+            ("weak_ii", "statement_mode"),
+            ("single_level", "c_r"),
+            ("single_level", "delta"),
+            ("single_level", "rho"),
+            ("single_level", "statement_mode"),
+        ],
+    )
+    def test_field_the_method_does_not_read_is_rejected(self, method, field):
+        value = False if field == "statement_mode" else 0.1
+        with pytest.raises(ConfigError, match="not read by") as err:
+            parse_config(base_config(method=method, **{field: value}))
+        assert err.value.field == field
 
     def test_defaults(self):
         cfg = parse_config(base_config())

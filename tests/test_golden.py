@@ -1,18 +1,26 @@
-"""Bit-identity goldens for the numpy engine and the `run` command.
+"""Bit-identity goldens for the numpy engine and the `run` and `calibrate` commands.
 
 The driver values were recorded before the numpy fallback was rewritten to
 advance the coupled pair as one array with pre-scaled noise, the series values
 before the series helpers joined the blocked step loop, the oracle values
-before the quadratures shared one weight and one ratio routine.  Any change to
-the floating-point operations shows up here as a changed bit.
+before the quadratures shared one weight and one ratio routine, the calibrate
+plans and constants before calibration decided each rule in one place.  Any
+change to the floating-point operations shows up here as a changed bit.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from mlgibbs import engine
+from mlgibbs.calibration import (
+    complexity_bound_penalized,
+    complexity_bound_weak,
+    regime_constants,
+    step_bound,
+)
 from mlgibbs.cli import main
 from mlgibbs.diagnostics import (
     _radial_moment,
@@ -344,3 +352,335 @@ def test_radial_moment_bits(power):
 @pytest.mark.parametrize("make_a, make_b, sigma, want", W1_GOLDENS, ids=["shift", "ridge", "scale"])
 def test_w1_distance_bits(make_a, make_b, sigma, want):
     assert w1_distance_1d(make_a(), make_b(), sigma).hex() == want
+
+
+# Calibrate goldens, recorded before calibration.py decided each step bound,
+# input check, level grid and schedule check in one place: the exact stdout
+# of `mlgibbs calibrate` is the JSON dump of each plan below.
+_QUAD = {"name": "quadratic", "dim": 1}
+_POW = {"name": "power", "dim": 1, "p": 0.75}
+CALIBRATE_CONFIGS = {
+    "penalized-0.3": {"potential": _QUAD, "method": "penalized", "epsilon": 0.3},
+    "penalized-0.1": {"potential": _QUAD, "method": "penalized", "epsilon": 0.1},
+    "weak_i-0.5": {"potential": _POW, "method": "weak_i", "epsilon": 0.5},
+    "weak_i-0.2": {"potential": _POW, "method": "weak_i", "epsilon": 0.2},
+    "weak_ii-0.5": {"potential": _POW, "method": "weak_ii", "epsilon": 0.5},
+    "weak_ii-0.2": {"potential": _POW, "method": "weak_ii", "epsilon": 0.2},
+    "single_level-0.5": {"potential": _QUAD, "method": "single_level", "epsilon": 0.5},
+    "single_level-0.2": {"potential": _POW, "method": "single_level", "epsilon": 0.2},
+    # the raw level count falls below one and is clamped to J = 1
+    "penalized-clamp": {
+        "potential": _POW, "method": "penalized", "epsilon": 0.4, "sigma": 0.7,
+    },
+    "statement_mode": {
+        "potential": _QUAD, "method": "penalized", "epsilon": 0.5, "statement_mode": True,
+    },
+    "tau-safety": {
+        "potential": _POW, "method": "weak_ii", "epsilon": 0.5, "tau": 2.0,
+        "safety_T_multiplier": 1.5,
+    },
+    "weak_ii-gamma0": {"potential": _POW, "method": "weak_ii", "epsilon": 0.5, "gamma0": 0.05},
+    "single_level-gamma0": {
+        "potential": _QUAD, "method": "single_level", "epsilon": 0.5, "gamma0": 0.03,
+    },
+    "power-d3": {
+        "potential": {"name": "power", "dim": 3, "p": 0.75}, "method": "weak_i", "epsilon": 1.0,
+    },
+    "quad-center-scale": {
+        "potential": {"name": "quadratic", "dim": 2, "center": 0.5, "scale": 2.0},
+        "method": "penalized",
+        "epsilon": 0.3,
+    },
+}
+CALIBRATE_PLANS = {
+    "penalized-0.3": {"J": 5,
+                      "T": [48.958028148509655, 24.539456084314715, 12.269728042157357,
+                            6.134864021078679, 3.0674320105393393, 1.5337160052696697],
+                      "alpha": 0.6928203230275509,
+                      "cost_exact": 3450,
+                      "dim": 1,
+                      "epsilon": 0.3,
+                      "gamma": [0.12088402011977692, 0.06044201005988846,
+                                0.03022100502994423, 0.015110502514972115,
+                                0.0075552512574860575, 0.0037776256287430287],
+                      "m4": 0.75,
+                      "m4_source": "closed_form",
+                      "method": "penalized",
+                      "potential": "quadratic",
+                      "predicted_cost": 23531.965076118315,
+                      "rho": 0.0,
+                      "sigma": 1.0,
+                      "statement_mode": False,
+                      "tau": 0.0},
+    "penalized-0.1": {"J": 11,
+                      "T": [4826.882485566161, 2413.4793463408064, 1206.7396731704032,
+                            603.3698365852016, 301.6849182926008, 150.8424591463004,
+                            75.4212295731502, 37.7106147865751, 18.85530739328755,
+                            9.427653696643775, 4.7138268483218875, 2.3569134241609437],
+                      "alpha": 0.23094010767585033,
+                      "cost_exact": 1108449,
+                      "dim": 1,
+                      "epsilon": 0.1,
+                      "gamma": [0.07620711545124112, 0.03810355772562056,
+                                0.01905177886281028, 0.00952588943140514,
+                                0.00476294471570257, 0.002381472357851285,
+                                0.0011907361789256425, 0.0005953680894628212,
+                                0.0002976840447314106, 0.0001488420223657053,
+                                7.442101118285266e-05, 3.721050559142633e-05],
+                      "m4": 0.75,
+                      "m4_source": "closed_form",
+                      "method": "penalized",
+                      "potential": "quadratic",
+                      "predicted_cost": 40630989.591238126,
+                      "rho": 0.0,
+                      "sigma": 1.0,
+                      "statement_mode": False,
+                      "tau": 0.0},
+    "weak_i-0.5": {"J": 5,
+                   "T": [633.8888888888889, 448.22222222222223, 316.94444444444446,
+                         224.11111111111111, 158.47222222222223, 112.05555555555556],
+                   "cost_exact": 141764,
+                   "dim": 1,
+                   "epsilon": 0.5,
+                   "gamma": [0.11111111111111112, 0.05555555555555556,
+                             0.02777777777777778, 0.01388888888888889,
+                             0.006944444444444445, 0.0034722222222222225],
+                   "method": "weak_i",
+                   "potential": "power",
+                   "predicted_cost": 1008.4646449871465,
+                   "rho": 0.5,
+                   "sigma": 1.0,
+                   "tau": 0.0},
+    "weak_i-0.2": {"J": 8,
+                   "T": [3961.666666666667, 2801.3333333333335, 1980.8333333333335,
+                         1400.6666666666667, 990.4166666666667, 700.3263888888889,
+                         495.20486111111114, 350.16145833333337, 247.60156250000003],
+                   "cost_exact": 2774646,
+                   "dim": 1,
+                   "epsilon": 0.2,
+                   "gamma": [0.11111111111111112, 0.05555555555555556,
+                             0.02777777777777778, 0.01388888888888889,
+                             0.006944444444444445, 0.0034722222222222225,
+                             0.0017361111111111112, 0.0008680555555555556,
+                             0.0004340277777777778],
+                   "method": "weak_i",
+                   "potential": "power",
+                   "predicted_cost": 15757.260077924162,
+                   "rho": 0.5,
+                   "sigma": 1.0,
+                   "tau": 0.0},
+    "weak_ii-0.5": {"J": 5,
+                    "T": [175.44444444444446, 124.11111111111111, 87.72222222222223,
+                          62.02777777777778, 43.84722222222223, 31.006944444444446],
+                    "cost_exact": 39232,
+                    "dim": 1,
+                    "epsilon": 0.5,
+                    "gamma": [0.11111111111111112, 0.05555555555555556,
+                              0.02777777777777778, 0.01388888888888889,
+                              0.006944444444444445, 0.0034722222222222225],
+                    "method": "weak_ii",
+                    "potential": "power",
+                    "predicted_cost": 1796.8797190178032,
+                    "rho": 0.5,
+                    "sigma": 1.0,
+                    "tau": 0.0},
+    "weak_ii-0.2": {"J": 6,
+                    "T": [1096.111111111111, 775.1111111111112, 548.0555555555555,
+                          387.5277777777778, 274.02777777777777, 193.7638888888889,
+                          137.01041666666669],
+                    "cost_exact": 363514,
+                    "dim": 1,
+                    "epsilon": 0.2,
+                    "gamma": [0.11111111111111112, 0.05555555555555556,
+                              0.02777777777777778, 0.01388888888888889,
+                              0.006944444444444445, 0.0034722222222222225,
+                              0.0017361111111111112],
+                    "method": "weak_ii",
+                    "potential": "power",
+                    "predicted_cost": 17756.97685456135,
+                    "rho": 0.5,
+                    "sigma": 1.0,
+                    "tau": 0.0},
+    "single_level-0.5": {"J": 0,
+                         "T": [5.75],
+                         "cost_exact": 23,
+                         "dim": 1,
+                         "epsilon": 0.5,
+                         "gamma": [0.25],
+                         "method": "single_level",
+                         "potential": "quadratic",
+                         "rho": 0.0,
+                         "sigma": 1.0,
+                         "tau": 0.0},
+    "single_level-0.2": {"J": 0,
+                         "T": [55.00000000000001],
+                         "cost_exact": 495,
+                         "dim": 1,
+                         "epsilon": 0.2,
+                         "gamma": [0.11111111111111112],
+                         "method": "single_level",
+                         "potential": "power",
+                         "rho": 0.0,
+                         "sigma": 1.0,
+                         "tau": 0.0},
+    "penalized-clamp": {"J": 1,
+                        "T": [1.3302857702875424, 0.7042689372110518],
+                        "alpha": 2.483696901359825,
+                        "cost_exact": 44,
+                        "dim": 1,
+                        "epsilon": 0.4,
+                        "gamma": [0.07825210413456131, 0.039126052067280655],
+                        "m4": 0.10374872852702695,
+                        "m4_source": "quadrature_1d",
+                        "method": "penalized",
+                        "potential": "power",
+                        "predicted_cost": 3.0556262250457977,
+                        "rho": 0.0,
+                        "sigma": 0.7,
+                        "statement_mode": False,
+                        "tau": 0.0},
+    "statement_mode": {"J": 4,
+                       "T": [13.279056191361395, 13.279056191361395, 13.279056191361395,
+                             13.279056191361395, 13.20688740771269],
+                       "alpha": 1.1547005383792517,
+                       "cost_exact": 1055,
+                       "dim": 1,
+                       "epsilon": 0.5,
+                       "gamma": [0.5773502691896258, 0.2886751345948129,
+                                 0.14433756729740646, 0.07216878364870323,
+                                 0.036084391824351615],
+                       "m4": 0.75,
+                       "m4_source": "closed_form",
+                       "method": "penalized",
+                       "potential": "quadratic",
+                       "predicted_cost": 30.44563682868306,
+                       "rho": 1.0,
+                       "sigma": 1.0,
+                       "statement_mode": True,
+                       "tau": 0.0},
+    "tau-safety": {"J": 5,
+                   "T": [263.22222222222223, 186.22222222222223, 131.61111111111111,
+                         93.05555555555556, 65.77777777777779, 46.51388888888889],
+                   "cost_exact": 58856,
+                   "dim": 1,
+                   "epsilon": 0.5,
+                   "gamma": [0.11111111111111112, 0.05555555555555556,
+                             0.02777777777777778, 0.01388888888888889,
+                             0.006944444444444445, 0.0034722222222222225],
+                   "method": "weak_ii",
+                   "potential": "power",
+                   "predicted_cost": 1796.8797190178032,
+                   "rho": 0.5,
+                   "sigma": 1.0,
+                   "tau": 2.0},
+    "weak_ii-gamma0": {"J": 4,
+                       "T": [175.4, 124.05000000000001, 87.7, 62.0125, 43.84375],
+                       "cost_exact": 57403,
+                       "dim": 1,
+                       "epsilon": 0.5,
+                       "gamma": [0.05, 0.025, 0.0125, 0.00625, 0.003125],
+                       "method": "weak_ii",
+                       "potential": "power",
+                       "predicted_cost": 2678.6301327430197,
+                       "rho": 0.5,
+                       "sigma": 1.0,
+                       "tau": 0.0},
+    "single_level-gamma0": {"J": 0,
+                            "T": [14.04],
+                            "cost_exact": 468,
+                            "dim": 1,
+                            "epsilon": 0.5,
+                            "gamma": [0.03],
+                            "method": "single_level",
+                            "potential": "quadratic",
+                            "rho": 0.0,
+                            "sigma": 1.0,
+                            "tau": 0.0},
+    "power-d3": {"J": 6,
+                 "T": [4688.777777777778, 3315.5555555555557, 2344.388888888889,
+                       1657.7500000000002, 1172.1944444444446, 828.8680555555557,
+                       586.09375],
+                 "cost_exact": 1555003,
+                 "dim": 3,
+                 "epsilon": 1.0,
+                 "gamma": [0.11111111111111112, 0.05555555555555556,
+                           0.02777777777777778, 0.01388888888888889,
+                           0.006944444444444445, 0.0034722222222222225,
+                           0.0017361111111111112],
+                 "method": "weak_i",
+                 "potential": "power",
+                 "predicted_cost": 3729.877417406743,
+                 "rho": 0.5,
+                 "sigma": 1.0,
+                 "tau": 0.0},
+    "quad-center-scale": {"J": 8,
+                          "T": [354.22257253515886, 177.1301218824117,
+                                88.56506094120584, 44.28253047060292, 22.14126523530146,
+                                11.07063261765073, 5.535316308825365,
+                                2.7676581544126826, 1.3838290772063413],
+                          "alpha": 0.4535573676110726,
+                          "cost_exact": 122251,
+                          "dim": 2,
+                          "epsilon": 0.3,
+                          "gamma": [0.03767122966448568, 0.01883561483224284,
+                                    0.00941780741612142, 0.00470890370806071,
+                                    0.002354451854030355, 0.0011772259270151776,
+                                    0.0005886129635075888, 0.0002943064817537944,
+                                    0.0001471532408768972],
+                          "m4": 1.75,
+                          "m4_source": "closed_form",
+                          "method": "penalized",
+                          "potential": "quadratic",
+                          "predicted_cost": 1799268.4844801545,
+                          "rho": 0.0,
+                          "sigma": 1.0,
+                          "statement_mode": False,
+                          "tau": 0.0},
+}
+
+
+@pytest.mark.parametrize("name", list(CALIBRATE_CONFIGS))
+def test_calibrate_stdout_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MLGIBBS_SEED", raising=False)
+    base = {"sigma": 1.0, "f": "coord:0", "replicates": 8, "seed": 3}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(base, **CALIBRATE_CONFIGS[name])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["calibrate", "--config", str(path)]) == 0
+    want = json.dumps(CALIBRATE_PLANS[name], indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == want
+
+
+# Constants and bounds as float.hex, recorded with the calibrate goldens.
+TWO_SIDED = make_power(3, 0.75).profile
+LOWER_ONLY = ConvexityProfile(Convexity.PARAMETRIC_LOWER, L=2.0, c_lower=0.5, r=0.4)
+STRONG = ConvexityProfile(Convexity.STRONGLY_CONVEX, L=2.5, alpha=1.0)
+
+
+def test_regime_constants_bits():
+    two = regime_constants(TWO_SIDED, 3, 1.3, 0.7)
+    low = regime_constants(LOWER_ONLY, 2, 0.8)
+    assert _hex([two.gamma_star, two.psi_bar, low.gamma_star, low.psi_bar]) == [
+        "0x1.c71c71c71c71dp-4", "0x1.6989374bc6a7fp+3",
+        "0x1.0000000000000p-3", "0x1.19b0f55c1957dp+6",
+    ]
+
+
+def test_step_bound_bits():
+    assert _hex([step_bound(p) for p in (TWO_SIDED, LOWER_ONLY, STRONG)]) == [
+        "0x1.c71c71c71c71dp-4", "0x1.0000000000000p-3", "0x1.999999999999ap-4",
+    ]
+
+
+def test_complexity_bound_bits():
+    values = [complexity_bound_penalized(0.1, 0.9, 2, 0.75, 1.3, 0.05)]
+    for profile, d in ((TWO_SIDED, 3), (LOWER_ONLY, 2)):
+        rc = regime_constants(profile, d, 1.3)
+        values.append(complexity_bound_weak("i", 0.3, profile, rc, 0.2))
+        values.append(complexity_bound_weak("ii", 0.3, profile, rc, 0.2, rho=0.4, gamma0=0.07))
+    assert _hex(values) == [
+        "0x1.52b1408ac742fp+27",
+        "0x1.41367911984c1p+18", "0x1.23f23838b2e58p+17",
+        "0x1.1640de518d402p+30", "0x1.ca641a11d3aa9p+27",
+    ]

@@ -27,6 +27,12 @@ def test_config_table_lists_every_top_level_field():
     assert sorted(rows) == sorted(cli._TOP_FIELDS)
 
 
+def test_config_table_read_by_column_matches_the_cli():
+    rows = re.findall(r"^\| `(\w+)` \|[^|]*\|[^|]*\|([^|]*)\|", _section("Configuration"), re.M)
+    read_by = {field: tuple(re.findall(r"`(\w+)`", cell)) or cell.strip() for field, cell in rows}
+    assert read_by == {field: cli._READ_BY.get(field, "all") for field in cli._TOP_FIELDS}
+
+
 def test_diag_suite_list_matches_the_registry():
     listed = re.search(r"Suites:\s*(.*?)\.\n", _section("Command line"), re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(diag_suites.SUITES)
