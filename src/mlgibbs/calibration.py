@@ -361,13 +361,20 @@ def calibrate_penalized(
 def complexity_bound_penalized(
     epsilon: float, sigma: float, d: int, m4: float, L: float, gamma0: float
 ) -> float:
-    """Predicted gradient-evaluation budget of the penalized route."""
+    """Predicted gradient-evaluation budget of the penalized route.
+
+    The level count ceil(log2(sigma^2 d sqrt(m4) / (2 epsilon^3))) is clamped
+    to one, as calibrate_penalized clamps J: a target loose enough for a
+    single level is a valid target, not an error.
+    """
 
     _check_penalized_args(epsilon, sigma, d, m4, L)
     if not 0.0 < gamma0 < 1.0:
         raise InvalidParameterError(f"gamma0 must lie in (0, 1), got {gamma0}")
     with _within_float_range(epsilon):
-        levels = math.ceil(math.log2(0.5 * sigma * sigma * d * math.sqrt(m4) * epsilon**-3))
+        levels = max(
+            math.ceil(math.log2(0.5 * sigma * sigma * d * math.sqrt(m4) * epsilon**-3)), 1
+        )
         cost = (
             (1.0 / 3.0)
             * math.log(1.0 / gamma0)
@@ -377,10 +384,6 @@ def complexity_bound_penalized(
             * d
             * epsilon**-5
             * levels**3
-        )
-    if levels < 1:
-        raise InvalidParameterError(
-            f"accuracy epsilon={epsilon} is too loose for the complexity bound"
         )
     return cost
 

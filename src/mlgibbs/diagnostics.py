@@ -39,7 +39,7 @@ from .errors import (
 )
 from .estimator import BatchResult, _point, run_replicates
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
-from .potentials import FAMILY_QUADRATIC, PotentialModel, penalize
+from .potentials import FAMILY_QUADRATIC, PotentialModel, _sum_sq, penalize
 from .sde import _check_sigma, _check_step_size, grid_count_up
 
 __all__ = [
@@ -569,7 +569,7 @@ def strong_error_curve(
             raise NumericalOverflowError(
                 f"coupled pair overflowed at step size {gamma}"
             )
-        gap2 = np.sum((posf - posc) ** 2, axis=1)
+        gap2 = _sum_sq(posf - posc)
         msds.append(float(np.mean(gap2)))
         ses.append(float(np.std(gap2, ddof=1) / math.sqrt(R)))
     logs_g = np.log(np.asarray(gammas, dtype=float))
@@ -764,7 +764,7 @@ def decreasing_penalization_probe(
 
     n = _probe_steps(model, sigma, gamma, horizon, R)
     x, y = _point(x, model.dim), _point(y, model.dim)
-    dist0 = float(np.sum((x - y) ** 2))
+    dist0 = float(_sum_sq(x - y))
     t_end = n * gamma
     bound = decreasing_penalization_gap(
         alpha, alpha_tilde, model.dim, sigma, t_end, dist0

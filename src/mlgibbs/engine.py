@@ -32,7 +32,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .potentials import PotentialModel
+from .potentials import PotentialModel, _sum_sq
 from .sde import NoiseStream
 
 BACKEND = "numpy"
@@ -100,10 +100,6 @@ def _batched_observable(f: Callable, dim: int) -> Callable[[np.ndarray], np.ndar
 # the step loop
 
 
-def _np_gradient(model: PotentialModel, pos: np.ndarray) -> np.ndarray:
-    return np.asarray(model.gradient_fn(pos), dtype=float)
-
-
 def _add_in_step_order(acc: np.ndarray, v: np.ndarray) -> None:
     # acc += v[0]; acc += v[1]; ... in one call: accumulate adds strictly in
     # sequence, so the result has the bits of the per-step additions
@@ -146,8 +142,10 @@ def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
 def _chain_step(model: PotentialModel, gamma: float) -> Callable:
     """The Euler step (x - gamma grad U(x)) + noise of one chain."""
 
+    grad = model.gradient_fn
+
     def step(x, y, noise, k):
-        np.subtract(x, gamma * _np_gradient(model, x), out=y)
+        np.subtract(x, gamma * grad(x), out=y)
         y += noise[:, k]
 
     return step
@@ -163,15 +161,15 @@ def _coupled_step(model: PotentialModel, gamma: float) -> Callable:
     (2R, d) view serves both, and one call adds each shared increment to both.
     """
 
-    d, gfine = model.dim, 0.5 * gamma
+    grad, d, gfine = model.gradient_fn, model.dim, 0.5 * gamma
     steps = np.array([gfine, gamma]).reshape(2, 1, 1)
 
     def step(x, y, noise, k):
-        g = _np_gradient(model, x.reshape(-1, d)).reshape(x.shape)
+        g = grad(x.reshape(-1, d)).reshape(x.shape)
         np.subtract(x, steps * g, out=y)
         y += noise[:, 2 * k]
         fine = y[0]
-        fine -= gfine * _np_gradient(model, fine)
+        fine -= gfine * grad(fine)
         y += noise[:, 2 * k + 1]
 
     return step
@@ -305,7 +303,7 @@ def pair_distance_series(
 
     series = _lane_mean_series(
         pair, streams, n_steps, sigma * math.sqrt(gamma), step,
-        lambda t: np.sum((t[:, 0] - t[:, 1]) ** 2, axis=-1),
+        lambda t: _sum_sq(t[:, 0] - t[:, 1]),
     )
     return series, pair[0], pair[1]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
+from .potentials import _sum_sq
 
 __all__ = ["coordinate", "euclidean_norm", "squared_norm", "parse_observable"]
 
@@ -35,8 +36,7 @@ def coordinate(k: int):
 
 def euclidean_norm(x):
     """Observable x -> |x|."""
-    x = np.asarray(x)
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    return np.sqrt(_sum_sq(np.asarray(x)))
 
 
 euclidean_norm._obs_code = (OBS_NORM, 0)
@@ -44,8 +44,7 @@ euclidean_norm._obs_code = (OBS_NORM, 0)
 
 def squared_norm(x):
     """Observable x -> |x|^2."""
-    x = np.asarray(x)
-    return np.add.reduce(x * x, axis=-1)
+    return _sum_sq(np.asarray(x))
 
 
 squared_norm._obs_code = (OBS_NORM2, 0)
@@ -53,8 +52,7 @@ squared_norm._obs_code = (OBS_NORM2, 0)
 
 def fourth_norm(x):
     """Observable x -> |x|^4."""
-    x = np.asarray(x)
-    s = np.add.reduce(x * x, axis=-1)
+    s = _sum_sq(np.asarray(x))
     return s * s
 
 

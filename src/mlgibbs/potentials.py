@@ -10,7 +10,8 @@ is the Gibbs measure with density proportional to exp(-2 U(x) / sigma^2).
 
 Value and gradient maps are vectorized: they accept arrays of shape (..., d)
 and return shapes (...) and (..., d) respectively, so batches of points can be
-evaluated in one call.
+evaluated in one call.  Every |x|^2 row sum in the package goes through
+_sum_sq, which gives the bits of np.add.reduce(x * x, axis=-1).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "make_power",
     "penalize",
     "check_gradient",
-    "hessian_fd",
 ]
 
 
@@ -118,8 +118,10 @@ class PotentialModel:
     """A potential together with its dimension, curvature profile and minimizer.
 
     value_fn maps (..., d) arrays to (...) nonnegative values, gradient_fn maps
-    (..., d) to (..., d).  closed_form, when present, names the family and
-    parameters, so the reference oracle can use exact or quadrature values.
+    a float64 (..., d) array to a float64 ndarray of the same shape; the engine
+    uses its result as is, without a conversion.  closed_form, when present,
+    names the family and parameters, so the reference oracle can use exact or
+    quadrature values.
     """
 
     dim: int
@@ -146,6 +148,26 @@ class PotentialModel:
         return np.asarray(self.gradient_fn(np.asarray(x, dtype=float)), dtype=float)
 
 
+def _sum_sq(x: np.ndarray):
+    """Sum of x * x over the last axis, bit for bit np.add.reduce(x * x, axis=-1).
+
+    numpy's reduce adds fewer than 8 float64 terms strictly left to right, one
+    inner loop per row; adding whole columns in the same order gives the same
+    bits in d - 1 vectorized calls.  From 8 terms on numpy sums pairwise, and
+    it widens bools and small integers, so there the reduce itself runs.  A
+    1-D input gives a numpy scalar, as the reduce does.
+    """
+
+    xx = x * x
+    d = xx.shape[-1]
+    if xx.dtype != np.float64 or not 0 < d < 8:
+        return np.add.reduce(xx, axis=-1)
+    s = xx[..., 0].copy()
+    for k in range(1, d):
+        s += xx[..., k]
+    return s[()]
+
+
 def _as_center(center, dim: int) -> np.ndarray:
     c = np.asarray(center, dtype=float)
     if c.ndim == 0:
@@ -169,8 +191,7 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
     c = _as_center(center, dim)
 
     def value(x):
-        diff = x - c
-        return 0.5 * scale * np.add.reduce(diff * diff, axis=-1)
+        return 0.5 * scale * _sum_sq(x - c)
 
     def gradient(x):
         return scale * (x - c)
@@ -199,11 +220,10 @@ def make_power(dim: int, p: float) -> PotentialModel:
         raise InvalidParameterError(f"p must lie in (1/2, 1], got {p}")
 
     def value(x):
-        return (1.0 + np.add.reduce(x * x, axis=-1)) ** p
+        return (1.0 + _sum_sq(x)) ** p
 
     def gradient(x):
-        s = np.add.reduce(x * x, axis=-1)
-        w = 2.0 * p * (1.0 + s) ** (p - 1.0)
+        w = 2.0 * p * (1.0 + _sum_sq(x)) ** (p - 1.0)
         return w[..., np.newaxis] * x
 
     profile = ConvexityProfile(
@@ -263,7 +283,7 @@ def penalize(base: PotentialModel, alpha: float) -> PotentialModel:
     base_gradient = base.gradient_fn
 
     def value(x):
-        return base_value(x) + 0.5 * alpha * np.add.reduce(x * x, axis=-1)
+        return base_value(x) + 0.5 * alpha * _sum_sq(x)
 
     def gradient(x):
         return base_gradient(x) + alpha * x
@@ -304,16 +324,3 @@ def check_gradient(model: PotentialModel, points: int = 20, h: float = 1e-5, see
                     f"gradient mismatch at {x}: component {j} differs by {dev:.3e}"
                 )
     return worst
-
-
-def hessian_fd(model: PotentialModel, x, h: float = 1e-5) -> np.ndarray:
-    """Symmetrized finite-difference Hessian from the exact gradient."""
-
-    x = np.asarray(x, dtype=float)
-    d = model.dim
-    H = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        H[:, j] = (model.gradient(x + e) - model.gradient(x - e)) / (2.0 * h)
-    return 0.5 * (H + H.T)

@@ -262,9 +262,11 @@ class TestComplexityBounds:
         np.testing.assert_allclose(val, 34068040.36491615, rtol=1e-12)
 
     def test_penalized_needs_a_level(self):
-        # a loose enough target drives the level count to zero
-        with pytest.raises(InvalidParameterError):
-            complexity_bound_penalized(2.0, 1.0, 1, 0.75, 1.0, 0.1)
+        # a loose enough target drives the raw level count to zero or below;
+        # the bound counts one level, as the schedule clamps J to 1
+        val = complexity_bound_penalized(2.0, 1.0, 1, 0.75, 1.0, 0.1)
+        one_level = (1.0 / 3.0) * math.log(10.0) * 0.75**1.5 * 2.0**-5
+        assert val == pytest.approx(one_level, rel=1e-12)
 
     def test_penalized_step_size_range(self):
         with pytest.raises(InvalidParameterError):

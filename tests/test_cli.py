@@ -323,6 +323,20 @@ class TestMainEntry:
         assert main(["calibrate", "--config", path]) == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", [0.5, 0.6])
+    def test_penalized_target_clamped_to_one_level_calibrates(self, sigma, tmp_path, capsys):
+        # the schedule clamps J to 1; the complexity bound accepts the same
+        # target instead of calling it too loose
+        raw = base_config(
+            potential={"name": "power", "dim": 1, "p": 0.75}, epsilon=0.4, sigma=sigma
+        )
+        path = write_config(tmp_path, raw)
+        with pytest.warns(RuntimeWarning, match="clamping to J=1"):
+            assert main(["calibrate", "--config", path]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["J"] == 1
+        assert payload["predicted_cost"] > 0.0
+
     @pytest.mark.parametrize("epsilon", [1e-300, 1e-150])
     @pytest.mark.parametrize("method", ["penalized", "weak_i", "weak_ii", "single_level"])
     def test_epsilon_beyond_float_range_exits_three(self, method, epsilon, tmp_path, capsys):

@@ -4,7 +4,8 @@ The driver values were recorded before the numpy fallback was rewritten to
 advance the coupled pair as one array with pre-scaled noise, the series values
 before the series helpers joined the blocked step loop, the oracle values
 before the quadratures shared one weight and one ratio routine, the calibrate
-plans and constants before calibration decided each rule in one place.  Any
+plans and constants before calibration decided each rule in one place, the
+row-sum goldens before every |x|^2 row sum went through one helper.  Any
 change to the floating-point operations shows up here as a changed bit.
 """
 
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mlgibbs import engine
+from mlgibbs import diagnostics, engine
 from mlgibbs.calibration import (
     complexity_bound_penalized,
     complexity_bound_weak,
@@ -23,6 +24,7 @@ from mlgibbs.calibration import (
 )
 from mlgibbs.cli import main
 from mlgibbs.diagnostics import (
+    ReferenceValue,
     _radial_moment,
     confluence_curve,
     decreasing_penalization_probe,
@@ -30,6 +32,7 @@ from mlgibbs.diagnostics import (
     moment_envelope_check,
     reference_for,
     reference_moment,
+    strong_error_curve,
     w1_distance_1d,
 )
 from mlgibbs.observables import coordinate, euclidean_norm, fourth_norm, squared_norm
@@ -76,6 +79,50 @@ RUN_GOLDENS = [
 @pytest.mark.parametrize("raw, row", RUN_GOLDENS, ids=["penalized-quad-d1", "weak-ii-power-d3"])
 def test_run_csv_bytes(raw, row, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MLGIBBS_SEED", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(raw, sigma=1.0, replicates=8, seed=3)))
+    assert main(["run", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == _HEADER + row
+
+
+# Row-sum goldens, recorded before every |x|^2 row sum went through
+# potentials._sum_sq: d = 8 takes its pairwise branch, and the norm observable
+# of a shifted quadratic its column-sum branch.  The shifted norm has no
+# closed form or radial quadrature, so its long-run oracle is replaced by a
+# constant; the mean and variance columns come from the engine alone.
+ROW_SUM_RUN_GOLDENS = [
+    (
+        {
+            "potential": {"name": "power", "dim": 8, "p": 0.75},
+            "method": "weak_ii",
+            "f": "norm2",
+            "epsilon": 4.0,
+        },
+        "weak_ii,power,8,1.0,4.0,8,0.11111111111111112,208.55555555555557,"
+        "0.0,8,3,4.0220458172714935,-0.11244629438748444,0.016771647629237045,"
+        "0.1652856944719034,146072.0\n",
+    ),
+    (
+        {
+            "potential": {"name": "quadratic", "dim": 2, "center": [0.5, -1.0]},
+            "method": "penalized",
+            "f": "norm",
+            "epsilon": 0.5,
+        },
+        "penalized,quadratic,2,1.0,0.5,8,0.09491415700295097,161.35406690501665,"
+        "0.0,8,3,1.0785791940780483,-0.17142080592195175,0.0026578452414491825,"
+        "0.17807500467274867,22100.0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, row", ROW_SUM_RUN_GOLDENS, ids=["power-d8-norm2", "quad-center-norm"])
+def test_run_csv_row_sum_bytes(raw, row, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MLGIBBS_SEED", raising=False)
+    monkeypatch.setattr(
+        diagnostics, "long_run_reference",
+        lambda model, f, sigma, seed: ReferenceValue(1.25, "long_run_oracle", 0.0),
+    )
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(raw, sigma=1.0, replicates=8, seed=3)))
     assert main(["run", "--config", str(path)]) == 0
@@ -269,6 +316,16 @@ def test_ridged_pair_final_positions_bits(chunk7, quad2):
         engine.make_streams(5, [0, 3, 8], 2),
     )
     assert _hex(final_a) + _hex(final_b) == PAIR_FINAL_HEX
+
+
+def test_strong_error_curve_bits(chunk7, power3):
+    curve = strong_error_curve(
+        power3, 1.0, np.array([1.0, -0.5, 0.25]), (0.1, 0.05, 0.025), 3.35, 10, 5
+    )
+    assert _hex(curve.mean_square_gaps + curve.standard_errors) == [
+        "0x1.f0d3dfe601800p-9", "0x1.3665804a74816p-11", "0x1.323667212f730p-13",
+        "0x1.ccc3eb22cefd4p-11", "0x1.41e45fd465941p-13", "0x1.2b38b3cf38bfep-16",
+    ]
 
 
 # Oracle goldens, recorded before the line and radial quadratures shared one

@@ -15,7 +15,20 @@ from mlgibbs import (
     make_quadratic,
     penalize,
 )
-from mlgibbs.potentials import hessian_fd
+from mlgibbs.potentials import _sum_sq
+
+
+def hessian_fd(model: PotentialModel, x, h: float = 1e-5) -> np.ndarray:
+    """Symmetrized finite-difference Hessian from the exact gradient."""
+
+    x = np.asarray(x, dtype=float)
+    d = model.dim
+    H = np.empty((d, d))
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = h
+        H[:, j] = (model.gradient(x + e) - model.gradient(x - e)) / (2.0 * h)
+    return 0.5 * (H + H.T)
 
 
 def test_quadratic_value_and_gradient_at_known_points():
@@ -189,3 +202,49 @@ def test_power_family_is_convex_along_rays(p, x):
     g_lo = m.gradient(np.array([x]))[0]
     g_hi = m.gradient(np.array([x + 0.125]))[0]
     assert g_hi >= g_lo - 1e-12
+
+
+# Row sums of |x|^2: _sum_sq must carry the bits of np.add.reduce(x * x,
+# axis=-1) on both of its branches (columns added in order below 8, the
+# reduce itself from 8 on), and a 1-D point gives the reduce's numpy scalar.
+# 1e-160 squares to a subnormal.
+_SPECIALS = np.array(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, np.inf, -np.inf, np.nan, np.exp(20.0),
+     -np.exp(-20.0)]
+)
+
+
+def _row_sum_cases(d):
+    rng = np.random.default_rng(d)
+    for shape in [(d,), (7, d), (100, d), (200, d), (64, 2, 5, d)]:
+        normal = rng.standard_normal(shape)
+        wide = rng.choice([-1.0, 1.0], size=shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+        special = wide.copy()
+        flat = special.reshape(-1)
+        where = rng.choice(flat.size, size=min(flat.size, 3 * _SPECIALS.size), replace=False)
+        flat[where] = np.resize(_SPECIALS, where.size)
+        yield from (normal, wide, special)
+    for v in _SPECIALS:
+        yield np.full(d, v)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_sum_sq_has_the_bits_of_the_reduce(d):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _row_sum_cases(d):
+            want = np.add.reduce(x * x, axis=-1)
+            got = _sum_sq(x)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(
+                np.asarray(got).view(np.int64), np.asarray(want).view(np.int64)
+            ), (x.shape, x)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int16, np.int32, np.float16, np.float32])
+def test_sum_sq_of_other_dtypes_is_the_reduce(dtype):
+    x = np.array([[200, 1, 0], [3, 200, 1]]).astype(dtype)
+    want = np.add.reduce(x * x, axis=-1)
+    got = _sum_sq(x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
