@@ -10,15 +10,14 @@ standard error and comparisons are made at stated multiples of it.
 Bounds proven for the continuous-time process are probed through fine-step
 Euler proxies; SLACK_FRACTION is the slack multiplier those probes add.
 
-scipy.integrate is imported inside the two functions that integrate, not
-here: it costs more than the rest of the package's import together, and
-closed-form references, calibration and the simulation never need it.
+The adaptive quadrature is QUADPACK's QAGS, transcribed bit for bit in
+quadpack.py.  _quad imports it on first use: closed-form references,
+calibration and the simulation never need it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -206,16 +205,14 @@ def _bracket(g: Callable, center: float, one_sided: bool = False) -> Tuple[float
 
 
 def _quad(g: Callable, a: float, b: float, epsrel: float) -> Tuple[float, float]:
-    from scipy.integrate import IntegrationWarning, quad
+    from .quadpack import MESSAGES, qags
 
     # absolute floor keeps integrals of odd functions (true value 0)
-    # convergent, where a pure relative tolerance can never be met
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err = quad(g, a, b, limit=500, epsabs=0.01 * epsrel, epsrel=epsrel)
-        except IntegrationWarning as exc:
-            raise OracleFailureError(f"quadrature did not converge: {exc}") from exc
+    # convergent, where a pure relative tolerance can never be met; the
+    # bounds may be numpy scalars, and QAGS must see Python floats
+    val, err, ier = qags(g, float(a), float(b), 0.01 * epsrel, epsrel, 500)
+    if ier != 0:
+        raise OracleFailureError(f"quadrature did not converge: {MESSAGES[ier]} (ier={ier})")
     if not (math.isfinite(val) and math.isfinite(err)):
         raise OracleFailureError("quadrature returned a non-finite value")
     return val, err
@@ -416,10 +413,9 @@ def w1_distance_1d(
 
 
 def _normalized_cdf(w: Callable, xs: np.ndarray) -> np.ndarray:
-    from scipy.integrate import cumulative_trapezoid
-
     dens = np.asarray(w(xs), dtype=float)
-    cdf = cumulative_trapezoid(dens, xs, initial=0.0)
+    # cumulative trapezoid, each area rounded as (width * (right + left)) / 2
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (dens[1:] + dens[:-1]) / 2.0)))
     total = cdf[-1]
     if not (math.isfinite(total) and total > 0.0):
         raise OracleFailureError("density normalizer is nonpositive on the grid")

@@ -1,7 +1,7 @@
-"""scipy stays off the import path until a quadrature oracle runs.
+"""scipy never loads: the quadrature oracles run on the package's own QAGS.
 
-pytest's own process has scipy loaded by other tests, so the checks run in a
-fresh interpreter.
+pytest's own process may have scipy loaded by other tests or plugins, so the
+checks run in a fresh interpreter.
 """
 
 import json
@@ -31,17 +31,22 @@ state["after_closed_form_run"] = "scipy" in sys.modules
 
 from mlgibbs import diagnostics
 from mlgibbs.observables import squared_norm
-from mlgibbs.potentials import make_power
+from mlgibbs.potentials import make_power, make_quadratic
 
 ref = diagnostics.reference_for(make_power(3, 0.75), squared_norm, 1.0)
-state["after_radial_quadrature"] = "scipy.integrate" in sys.modules
+state["after_radial_quadrature"] = "scipy" in sys.modules
 state["method"] = ref.method
 state["value_hex"] = float(ref.value).hex()
+diagnostics.w1_distance_1d(make_quadratic(1), make_power(1, 0.75), 1.0)
+state["after_w1_distance"] = "scipy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    state["power_calibrate_rc"] = mlgibbs.cli.main(["calibrate", "--config", sys.argv[2]])
+state["after_quadrature_fourth_moment"] = "scipy" in sys.modules
 print(json.dumps(state))
 """
 
 
-def test_scipy_loads_only_when_a_quadrature_oracle_runs(tmp_path):
+def test_scipy_never_loads_not_even_for_a_quadrature_oracle(tmp_path):
     # penalized quadratic with coord:0: the fourth moment and the reference
     # are both closed form, so neither calibrate nor run integrates
     config = {
@@ -55,13 +60,17 @@ def test_scipy_loads_only_when_a_quadrature_oracle_runs(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    # penalized power d=1: the fourth moment behind calibrate is a quadrature
+    power = dict(config, potential={"name": "power", "dim": 1, "p": 0.75})
+    power_path = tmp_path / "power.json"
+    power_path.write_text(json.dumps(power))
     src = str(Path(mlgibbs.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(path)],
+        [sys.executable, "-c", _PROBE, str(path), str(power_path)],
         capture_output=True,
         text=True,
         env=env,
@@ -73,8 +82,11 @@ def test_scipy_loads_only_when_a_quadrature_oracle_runs(tmp_path):
     assert state["calibrate_rc"] == 0
     assert state["run_rc"] == 0
     assert state["after_closed_form_run"] is False
-    # positive control: the radial quadrature loads scipy, and its value is
-    # the one recorded while scipy was imported with the package
-    assert state["after_radial_quadrature"] is True
+    # the radial quadrature's value is the one recorded while scipy's quad
+    # computed it
+    assert state["after_radial_quadrature"] is False
     assert state["method"] == "quadrature_1d"
     assert state["value_hex"] == "0x1.4f5d25341ef4ep+0"
+    assert state["after_w1_distance"] is False
+    assert state["power_calibrate_rc"] == 0
+    assert state["after_quadrature_fourth_moment"] is False
