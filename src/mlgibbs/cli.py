@@ -243,9 +243,9 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(raw)
 
@@ -253,12 +253,7 @@ def load_config(path: str) -> ExperimentConfig:
 def build_model(config: ExperimentConfig) -> PotentialModel:
     pot = config.potential
     name = pot["name"]
-    dim = pot.get("dim", 1)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ConfigError(
-            "config field 'potential.dim' must be a positive integer",
-            field="potential.dim",
-        )
+    dim = _positive_int(pot.get("dim", 1), "potential.dim")
     try:
         if name == "quadratic":
             model = make_quadratic(
@@ -386,8 +381,11 @@ def _plan_json(config: ExperimentConfig, setup: RunSetup) -> str:
 def _emit(text: str, out_path: Optional[str]):
     print(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path!r}: {exc.strerror}", field="out") from None
 
 
 def cmd_calibrate(config: ExperimentConfig, out_path: Optional[str] = None) -> int:
@@ -419,6 +417,9 @@ def _run_row(config: ExperimentConfig, setup: RunSetup):
         report,
         config.seed,
     )
+    if report.n_failed:
+        print(f"dropped {report.n_failed} of {config.replicates} replicate lanes: "
+              "non-finite path", file=sys.stderr)
     return report, row
 
 
@@ -470,16 +471,6 @@ def cmd_diag(suite: str, seed: int, out_path: Optional[str] = None) -> int:
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
-def _check_threads(n: Optional[int]):
-    # --threads is accepted so existing command lines keep working; the numpy
-    # engine runs single-threaded whatever its value
-    if n is not None and n < 1:
-        raise ConfigError("--threads must be positive", field="threads")
-
-
-_THREADS_HELP = "accepted for compatibility; has no effect"
-
-
 def _parse_args(argv: Optional[Sequence[str]]):
     parser = argparse.ArgumentParser(
         prog="mlgibbs",
@@ -490,7 +481,6 @@ def _parse_args(argv: Optional[Sequence[str]]):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="also write output to this file")
-        p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
         if name == "run":
             p.add_argument(
                 "--assert-eps",
@@ -501,14 +491,12 @@ def _parse_args(argv: Optional[Sequence[str]]):
     p = sub.add_parser("diag")
     p.add_argument("suite", help="diagnostic suite name")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
     try:
-        _check_threads(getattr(args, "threads", None))
         if args.command == "diag":
             return cmd_diag(args.suite, _seed_from_env(0), args.out)
         config = load_config(args.config)

@@ -8,8 +8,8 @@ Levels use fresh paths started from x0 on disjoint noise streams.
 
 Cost convention: one Euler step costs one gradient evaluation, so a run
 consumes exactly T_0/gamma_0 + sum_j (T_j/gamma_j + T_j/gamma_{j-1})
-gradient evaluations with the rounded horizons.  ``cost_of`` computes this
-before running anything.
+gradient evaluations with the rounded horizons.  ``run_replicates`` runs
+the ``level_jobs`` list, which ``cost_of`` sums before running anything.
 
 Stream ids are stable across versions: replicate r, level j reads the
 stream with id r * 2**20 + j under the run seed.
@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import engine
-from .calibration import LevelSchedule
+from .calibration import LevelSchedule, _coarse_grids
 from .errors import InvalidParameterError, NumericalOverflowError
 from .potentials import PotentialModel
 from .sde import _check_sigma, _check_step_size
@@ -33,6 +33,8 @@ __all__ = [
     "STREAM_LEVEL_SPAN",
     "EstimatorOutput",
     "BatchResult",
+    "LevelJob",
+    "level_jobs",
     "stream_id_for",
     "cost_of",
     "gaussians_of",
@@ -84,16 +86,39 @@ class BatchResult:
         return np.all(self.level_ok, axis=1)
 
 
+@dataclass(frozen=True)
+class LevelJob:
+    """Level 0: the chain on gamma.  Level j >= 1: the coupled pair whose
+    coarse step gamma spans two fine half steps.  Both average over coarse
+    grid points [n_burn, n_steps); the counts below are per lane."""
+
+    level: int
+    gamma: float
+    n_steps: int
+    n_burn: int
+
+    @property
+    def gradient_evals(self) -> int:
+        return 3 * self.n_steps if self.level else self.n_steps
+
+    @property
+    def gaussians(self) -> int:
+        return 2 * self.n_steps if self.level else self.n_steps
+
+
+def level_jobs(schedule: LevelSchedule) -> Tuple[LevelJob, ...]:
+    grids, counts = _coarse_grids(schedule.gamma), schedule.step_counts
+    return tuple(map(LevelJob, range(len(counts)), grids, counts, schedule.burn_counts()))
+
+
 def cost_of(schedule: LevelSchedule) -> int:
     """Gradient evaluations one replicate will consume, counted exactly."""
-    counts = schedule.step_counts
-    return counts[0] + 3 * sum(counts[1:])
+    return sum(job.gradient_evals for job in level_jobs(schedule))
 
 
 def gaussians_of(schedule: LevelSchedule) -> int:
     """Gaussian vectors one replicate will draw, counted exactly."""
-    counts = schedule.step_counts
-    return counts[0] + 2 * sum(counts[1:])
+    return sum(job.gaussians for job in level_jobs(schedule))
 
 
 def _point(x0, d: int) -> np.ndarray:
@@ -131,30 +156,17 @@ def run_replicates(
     x0 = _point(x0, model.dim)
     _check_step_size(model, schedule.gamma[0])
 
-    counts = schedule.step_counts
-    burns = schedule.burn_counts()
-    J = schedule.J
-    level_values = np.zeros((R, J + 1))
-    level_ok = np.zeros((R, J + 1), dtype=bool)
-
-    streams0 = engine.make_streams(
-        seed, [stream_id_for(rid, 0) for rid in replicate_ids], model.dim
-    )
-    sums, ok, _ = engine.occupation_sums(
-        model, f, x0, schedule.gamma[0], sigma, counts[0], burns[0], streams0
-    )
-    level_values[:, 0] = sums / (counts[0] - burns[0])
-    level_ok[:, 0] = ok
-
-    for j in range(1, J + 1):
+    jobs = level_jobs(schedule)
+    level_values = np.zeros((R, len(jobs)))
+    level_ok = np.zeros((R, len(jobs)), dtype=bool)
+    for job in jobs:
         streams = engine.make_streams(
-            seed, [stream_id_for(rid, j) for rid in replicate_ids], model.dim
+            seed, [stream_id_for(rid, job.level) for rid in replicate_ids], model.dim
         )
-        sums, ok, _, _ = engine.coupled_diff_sums(
-            model, f, x0, schedule.gamma[j - 1], sigma, counts[j], burns[j], streams
-        )
-        level_values[:, j] = sums / (counts[j] - burns[j])
-        level_ok[:, j] = ok
+        driver = engine.coupled_diff_sums if job.level else engine.occupation_sums
+        sums, ok = driver(model, f, x0, job.gamma, sigma, job.n_steps, job.n_burn, streams)[:2]
+        level_values[:, job.level] = sums / (job.n_steps - job.n_burn)
+        level_ok[:, job.level] = ok
 
     values = np.array([math.fsum(row) for row in level_values])
     return BatchResult(

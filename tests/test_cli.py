@@ -1,5 +1,6 @@
 """Config parsing, calibration planning, and the command line surface."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mlgibbs import ConfigError
+from mlgibbs import ConfigError, diagnostics
 from mlgibbs.cli import (
     EXIT_CONFIG,
     EXIT_EPS_ASSERT,
@@ -146,9 +147,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nowhere.json"))
 
+    def test_directory_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_config(str(tmp_path))
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xb8\x00{}")
         with pytest.raises(ConfigError):
             load_config(str(path))
 
@@ -163,6 +174,13 @@ class TestBuildModel:
         with pytest.raises(ConfigError) as err:
             build_model(parse_config(raw))
         assert err.value.field == "potential.p"
+
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, True, "2"])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        raw = base_config(potential={"name": "quadratic", "dim": dim})
+        with pytest.raises(ConfigError) as err:
+            build_model(parse_config(raw))
+        assert err.value.field == "potential.dim"
 
     def test_quadratic_with_options(self):
         raw = base_config(
@@ -373,25 +391,55 @@ class TestMainEntry:
         assert main(["run", "--config", path]) == EXIT_OK
         assert MSE_CSV_HEADER in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep", "diag"])
-    def test_threads_below_one_is_a_config_exit(self, command, tmp_path, capsys):
-        if command == "diag":
-            target = ["strong_error"]
-        else:
-            target = ["--config", write_config(tmp_path, base_config())]
-        assert main([command, *target, "--threads", "0"]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "(field: threads)" in captured.err
-
-    def test_threads_leaves_the_run_output_unchanged(self, tmp_path, capsys):
+    def test_threads_is_no_longer_an_option(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
-        outputs = []
-        for extra in ([], ["--threads", "2"]):
-            assert main(["run", "--config", path, *extra]) == EXIT_OK
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0].startswith(MSE_CSV_HEADER)
-        assert outputs[1] == outputs[0]
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", path, "--threads", "2"])
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_out_is_a_config_exit(self, command, target, tmp_path, capsys):
+        # the result still reaches stdout, which is printed before the file
+        path = write_config(tmp_path, base_config(method="single_level", epsilon=0.5))
+        out = tmp_path / "nowhere" / "x.txt" if target == "missing" else tmp_path
+        assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out.strip()
+        assert captured.err.startswith("config error: cannot write")
+        assert captured.err.count("\n") == 1
+        assert "(field: out)" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_dropped_lanes_are_reported_on_stderr(self, command, tmp_path, monkeypatch, capsys):
+        # one lane in 100 is the most a run may drop without aborting
+        raw = base_config(method="single_level", replicates=100)
+        if command == "sweep":
+            del raw["epsilon"]
+            raw["epsilons"] = [0.8, 0.4, 0.2]
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_OK
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        run_replicates = diagnostics.run_replicates
+
+        def one_failed_lane(*args):
+            batch = run_replicates(*args)
+            level_ok = batch.level_ok.copy()
+            level_ok[2, 0] = False
+            return dataclasses.replace(batch, level_ok=level_ok)
+
+        monkeypatch.setattr(diagnostics, "run_replicates", one_failed_lane)
+        assert main([command, "--config", path]) == EXIT_OK
+        dropped = capsys.readouterr()
+        line = "dropped 1 of 100 replicate lanes: non-finite path\n"
+        assert dropped.err == line * (3 if command == "sweep" else 1)
+        assert "dropped" not in dropped.out
+        assert dropped.out != clean.out
+        header = MSE_CSV_HEADER.split(",")
+        assert dropped.out.splitlines()[1].split(",")[header.index("R")] == "99"
 
     def test_installed_script_smoke(self, tmp_path):
         path = write_config(tmp_path, base_config(epsilon=0.3))

@@ -18,6 +18,7 @@ from mlgibbs import (
     build_schedule,
     calibrate_penalized,
     cost_of,
+    engine,
     gaussians_of,
     make_quadratic,
     multilevel_estimate,
@@ -28,7 +29,8 @@ from mlgibbs import (
     single_level_schedule,
     squared_norm,
 )
-from mlgibbs.estimator import STREAM_LEVEL_SPAN, stream_id_for
+from mlgibbs.cli import parse_config, prepare_run
+from mlgibbs.estimator import STREAM_LEVEL_SPAN, LevelJob, level_jobs, stream_id_for
 
 
 class TestStreamLayout:
@@ -48,6 +50,70 @@ class TestStreamLayout:
             stream_id_for(0, -1)
         with pytest.raises(InvalidParameterError):
             stream_id_for(0, STREAM_LEVEL_SPAN)
+
+    def test_level_values_equal_direct_driver_calls(self, power1):
+        """Level j of replicate r reads stream r * 2**20 + j; level 0 is the
+        chain on gamma[0], level j >= 1 the pair on coarse step gamma[j-1]."""
+        sch = build_schedule(0.05, [20.0, 10.0, 5.0], tau=1.0)
+        ids = [0, 1, 5]
+        batch = run_replicates(power1, squared_norm, sch, 1.0, np.zeros(1), 17, ids)
+        counts, burns = sch.step_counts, sch.burn_counts()
+        assert min(burns) > 0
+        for j in range(3):
+            streams = engine.make_streams(17, [rid * 2**20 + j for rid in ids], 1)
+            if j == 0:
+                sums = engine.occupation_sums(
+                    power1, squared_norm, np.zeros(1), sch.gamma[0], 1.0,
+                    counts[0], burns[0], streams,
+                )[0]
+            else:
+                sums = engine.coupled_diff_sums(
+                    power1, squared_norm, np.zeros(1), sch.gamma[j - 1], 1.0,
+                    counts[j], burns[j], streams,
+                )[0]
+            want = sums / (counts[j] - burns[j])
+            assert batch.level_values[:, j].tobytes() == want.tobytes()
+
+
+class TestLevelJobs:
+    def test_single_level_schedule_is_one_chain_job(self):
+        sch = single_level_schedule(0.1, 10.0, tau=2.0)
+        assert level_jobs(sch) == (LevelJob(0, 0.1, 100, 20),)
+        (job,) = level_jobs(sch)
+        assert (job.gradient_evals, job.gaussians) == (100, 100)
+
+    def test_pairs_run_on_the_coarse_step(self):
+        sch = build_schedule(0.25, [8.0, 4.0, 2.0])
+        assert level_jobs(sch) == (
+            LevelJob(0, 0.25, 32, 0),
+            LevelJob(1, 0.25, 16, 0),
+            LevelJob(2, 0.125, 16, 0),
+        )
+        assert [job.gradient_evals for job in level_jobs(sch)] == [32, 48, 48]
+        assert [job.gaussians for job in level_jobs(sch)] == [32, 32, 32]
+
+    @pytest.mark.parametrize(
+        "config, grads, draws",
+        [
+            (
+                {"potential": {"name": "quadratic", "dim": 1}, "method": "penalized",
+                 "epsilon": 0.18, "f": "coord:0"},
+                50752,
+                35136,
+            ),
+            (
+                {"potential": {"name": "power", "dim": 3, "p": 0.75}, "method": "weak_ii",
+                 "epsilon": 2.0, "f": "norm2"},
+                35854,
+                24227,
+            ),
+        ],
+    )
+    def test_benchmark_schedules_sum_to_their_counted_work(self, config, grads, draws):
+        raw = dict(config, sigma=1.0, replicates=100, seed=7)
+        jobs = level_jobs(prepare_run(parse_config(raw)).schedule)
+        assert sum(job.gradient_evals for job in jobs) == grads
+        assert sum(job.gaussians for job in jobs) == draws
 
 
 def _counting_model(counted):
