@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -112,10 +113,25 @@ def _need(raw: dict, key: str):
     return raw[key]
 
 
-def _positive_real(value, key: str) -> float:
+def _real(value, key: str) -> float:
+    """A JSON number as a float; true, false, strings and null are no numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {key!r} must be a number", field=key)
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf
+
+
+def _finite_real(value, key: str) -> float:
+    value = _real(value, key)
+    if not math.isfinite(value):
+        raise ConfigError(f"config field {key!r} must be finite", field=key)
+    return value
+
+
+def _positive_real(value, key: str) -> float:
+    value = _real(value, key)
     if not (value > 0.0 and math.isfinite(value)):
         raise ConfigError(f"config field {key!r} must be positive and finite", field=key)
     return value
@@ -204,8 +220,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             "config field 'statement_mode' must be a boolean", field="statement_mode"
         )
-    tau = raw.get("tau", 0.0)
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 <= tau < math.inf:
+    tau = _real(raw.get("tau", 0.0), "tau")
+    if not 0 <= tau < math.inf:
         raise ConfigError(
             "config field 'tau' must be a nonnegative, finite number", field="tau"
         )
@@ -227,7 +243,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         delta=_positive_real(raw.get("delta", 0.25), "delta"),
         rho=_positive_real(raw.get("rho", 0.5), "rho"),
         c_r=_positive_real(raw.get("c_r", 1.0), "c_r"),
-        tau=float(tau),
+        tau=tau,
         gamma0=_positive_real(raw["gamma0"], "gamma0") if "gamma0" in raw else None,
         statement_mode=statement_mode,
         f_spec=str(_need(raw, "f")),
@@ -256,17 +272,23 @@ def build_model(config: ExperimentConfig) -> PotentialModel:
     dim = _positive_int(pot.get("dim", 1), "potential.dim")
     try:
         if name == "quadratic":
-            model = make_quadratic(
-                dim, center=pot.get("center", 0.0), scale=pot.get("scale", 1.0)
-            )
+            # a scalar stays a scalar, which make_quadratic subtracts as one float
+            center = pot.get("center", 0.0)
+            if isinstance(center, list):
+                center = [_finite_real(c, "potential.center") for c in center]
+            else:
+                center = _finite_real(center, "potential.center")
+            scale = _positive_real(pot.get("scale", 1.0), "potential.scale")
+            model = make_quadratic(dim, center=center, scale=scale)
         else:
             if "p" not in pot:
                 raise ConfigError(
                     "power potential requires 'potential.p'", field="potential.p"
                 )
-            model = make_power(dim, pot["p"])
+            model = make_power(dim, _finite_real(pot["p"], "potential.p"))
         if "penalty_alpha" in pot:
-            model = penalize(model, pot["penalty_alpha"])
+            alpha = _positive_real(pot["penalty_alpha"], "potential.penalty_alpha")
+            model = penalize(model, alpha)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), field="potential") from exc
     return model
@@ -376,6 +398,24 @@ def _plan_json(config: ExperimentConfig, setup: RunSetup) -> str:
     if setup.predicted_cost is not None:
         payload["predicted_cost"] = setup.predicted_cost
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _check_out(out_path: Optional[str]):
+    """Refuse an --out path that cannot be written, before any work is done.
+
+    The file itself is not opened, so an existing one keeps its bytes until
+    the result is written.
+    """
+
+    if not out_path:
+        return
+    if os.path.isdir(out_path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
+        reason = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write {out_path!r}: {os.strerror(reason)}", field="out")
 
 
 def _emit(text: str, out_path: Optional[str]):
@@ -497,6 +537,7 @@ def _parse_args(argv: Optional[Sequence[str]]):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
     try:
+        _check_out(args.out)
         if args.command == "diag":
             return cmd_diag(args.suite, _seed_from_env(0), args.out)
         config = load_config(args.config)

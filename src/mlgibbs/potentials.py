@@ -119,9 +119,10 @@ class PotentialModel:
 
     value_fn maps (..., d) arrays to (...) nonnegative values, gradient_fn maps
     a float64 (..., d) array to a float64 ndarray of the same shape; the engine
-    uses its result as is, without a conversion.  closed_form, when present,
-    names the family and parameters, so the reference oracle can use exact or
-    quadrature values.
+    uses its result as is, without a conversion.  That result may be a view
+    of the input (lambda x: x is a valid gradient), so callers must not write
+    into it.  closed_form, when present, names the family and parameters, so
+    the reference oracle can use exact or quadrature values.
     """
 
     dim: int
@@ -189,12 +190,18 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
     if not (scale > 0.0 and math.isfinite(scale)):
         raise InvalidParameterError(f"scale must be positive and finite, got {scale}")
     c = _as_center(center, dim)
+    # A scalar center is subtracted as one float: the same IEEE subtraction per
+    # entry as the (d,) array, without broadcasting it.  The argument decides,
+    # not the values: [0.0, -0.0] is no scalar.
+    shift = float(c[0]) if np.ndim(center) == 0 else c
 
     def value(x):
-        return 0.5 * scale * _sum_sq(x - c)
+        return 0.5 * scale * _sum_sq(x - shift)
 
     def gradient(x):
-        return scale * (x - c)
+        g = x - shift
+        g *= scale
+        return g
 
     profile = ConvexityProfile(kind=Convexity.STRONGLY_CONVEX, L=scale, alpha=scale)
     return PotentialModel(
@@ -286,7 +293,11 @@ def penalize(base: PotentialModel, alpha: float) -> PotentialModel:
         return base_value(x) + 0.5 * alpha * _sum_sq(x)
 
     def gradient(x):
-        return base_gradient(x) + alpha * x
+        # the bits of base_gradient(x) + alpha * x in one owned array; the base
+        # result may be a view of x, so it is never written into
+        g = alpha * x
+        g += base_gradient(x)
+        return g
 
     L = base.profile.L + alpha
     minimizer = _descend(value, gradient, base.minimizer, L)

@@ -74,6 +74,9 @@ class TestParseConfig:
             ({"tau": -1.0}, "tau"),
             ({"tau": float("nan")}, "tau"),
             ({"tau": float("inf")}, "tau"),
+            ({"tau": 10**400}, "tau"),
+            ({"tau": True}, "tau"),
+            ({"sigma": 10**400}, "sigma"),
             ({"epsilons": [0.4, 0.2]}, "epsilons"),
             ({"method": "single_level", "gamma0": 0.0}, "gamma0"),
         ],
@@ -181,6 +184,44 @@ class TestBuildModel:
         with pytest.raises(ConfigError) as err:
             build_model(parse_config(raw))
         assert err.value.field == "potential.dim"
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("quadratic", "scale", "2"),
+            ("quadratic", "scale", None),
+            ("quadratic", "scale", True),
+            ("quadratic", "scale", -1.0),
+            ("quadratic", "center", "a"),
+            ("quadratic", "center", None),
+            ("quadratic", "center", True),
+            ("quadratic", "center", [0.0, False]),
+            ("quadratic", "center", [0.0, [1.0]]),
+            ("quadratic", "center", 10**400),
+            ("quadratic", "penalty_alpha", "0.5"),
+            ("quadratic", "penalty_alpha", None),
+            ("quadratic", "penalty_alpha", True),
+            ("quadratic", "penalty_alpha", 0),
+            ("power", "p", "0.75"),
+            ("power", "p", None),
+            ("power", "p", True),
+            ("power", "penalty_alpha", True),
+        ],
+    )
+    def test_potential_fields_must_be_numbers(self, name, field, value, tmp_path, capsys):
+        potential = {"name": name, "dim": 2, field: value}
+        if name == "power" and field != "p":
+            potential["p"] = 0.75
+        raw = base_config(potential=potential, method="single_level")
+        with pytest.raises(ConfigError) as err:
+            build_model(parse_config(raw))
+        assert err.value.field == f"potential.{field}"
+        path = write_config(tmp_path, raw)
+        assert main(["calibrate", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.endswith(f"(field: potential.{field})\n")
 
     def test_quadratic_with_options(self):
         raw = base_config(
@@ -398,19 +439,36 @@ class TestMainEntry:
         assert err.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep"])
     @pytest.mark.parametrize("target", ["missing", "directory"])
-    def test_unwritable_out_is_a_config_exit(self, command, target, tmp_path, capsys):
-        # the result still reaches stdout, which is printed before the file
-        path = write_config(tmp_path, base_config(method="single_level", epsilon=0.5))
+    def test_unwritable_out_is_a_config_exit(
+        self, command, target, tmp_path, monkeypatch, capsys
+    ):
+        # the path is refused before any work: nothing is simulated or printed
+        def never(*args):
+            raise AssertionError("simulated despite an unwritable --out")
+
+        monkeypatch.setattr(diagnostics, "run_replicates", never)
+        raw = base_config(method="single_level", epsilon=0.5, epsilons=[0.8, 0.4, 0.2])
+        path = write_config(tmp_path, raw)
         out = tmp_path / "nowhere" / "x.txt" if target == "missing" else tmp_path
         assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.out.strip()
+        assert captured.out == ""
         assert captured.err.startswith("config error: cannot write")
         assert captured.err.count("\n") == 1
         assert "(field: out)" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_failed_run_leaves_an_existing_out_file_untouched(self, tmp_path, capsys):
+        # the check does not open the file; a run that fails later writes nothing
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier result\n")
+        raw = base_config(potential={"name": "quadratic", "dim": 1, "scale": "2"})
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "(field: potential.scale)" in capsys.readouterr().err
+        assert out.read_text() == "earlier result\n"
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_dropped_lanes_are_reported_on_stderr(self, command, tmp_path, monkeypatch, capsys):

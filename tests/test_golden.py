@@ -85,6 +85,44 @@ def test_run_csv_bytes(raw, row, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == _HEADER + row
 
 
+# The benchmark's two workloads at their pinned configs (perfbench/run.py) and
+# seed 7, recorded before the quadratic drift subtracted a scalar center as
+# one float and the ridge gradient was built in one array.
+BENCHMARK_RUN_GOLDENS = [
+    (
+        {
+            "potential": {"name": "quadratic", "dim": 1},
+            "method": "penalized", "sigma": 1.0, "epsilon": 0.18,
+            "f": "coord:0", "replicates": 100,
+        },
+        "penalized,quadratic,1,1.0,0.18,8,0.10370607524476888,404.8685177555777,"
+        "0.0,100,7,0.005367213639317739,0.005367213639317739,0.0011625562938285176,"
+        "0.0343473101296202,50752.0\n",
+    ),
+    (
+        {
+            "potential": {"name": "power", "dim": 3, "p": 0.75},
+            "method": "weak_ii", "sigma": 1.0, "epsilon": 2.0,
+            "f": "norm2", "replicates": 100,
+        },
+        "weak_ii,power,3,1.0,2.0,6,0.11111111111111112,108.11111111111111,"
+        "0.0,100,7,1.3082838384363313,-0.0017311964536861346,0.011625942558154233,"
+        "0.10729715827427092,35854.0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, row", BENCHMARK_RUN_GOLDENS, ids=["penalized-quad-d1", "weak-ii-power-d3"]
+)
+def test_benchmark_workload_csv_bytes(raw, row, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MLGIBBS_SEED", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(raw, seed=7)))
+    assert main(["run", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == _HEADER + row
+
+
 # Row-sum goldens, recorded before every |x|^2 row sum went through
 # potentials._sum_sq: d = 8 takes its pairwise branch, and the norm observable
 # of a shifted quadratic its column-sum branch.  The shifted norm has no

@@ -248,3 +248,71 @@ def test_sum_sq_of_other_dtypes_is_the_reduce(dtype):
     got = _sum_sq(x)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+# Drift bits: a scalar center is subtracted as one float and the ridge
+# gradient is built in one owned array; both must keep the bits of the
+# array formulas, also on signed zeros, huge and subnormal entries.
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _drift_rows(d):
+    rng = np.random.default_rng(40 + d)
+    x = rng.standard_normal((200, d)) * np.exp(rng.uniform(-30.0, 30.0, (200, d)))
+    x[:8] = np.resize([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, 1.7e308, -2.2e-308], (8, d))
+    return x
+
+
+@pytest.mark.parametrize("center", [0.0, -0.0, 0.5, -1e-300, 3e100])
+@pytest.mark.parametrize("d", [1, 3])
+def test_scalar_center_has_the_bits_of_the_full_vector(center, d):
+    scalar = make_quadratic(d, center=center, scale=1.7)
+    vector = make_quadratic(d, center=np.full(d, center), scale=1.7)
+    with np.errstate(over="ignore"):
+        for x in (_drift_rows(d), _drift_rows(d)[5]):
+            assert _same_bits(scalar.gradient_fn(x), vector.gradient_fn(x))
+            assert _same_bits(scalar.value_fn(x), vector.value_fn(x))
+
+
+def test_signed_zero_center_is_no_scalar():
+    # [0.0, -0.0] holds equal values, but at x = -0.0 its entries give drifts
+    # of opposite sign; a center judged uniform by value would lose that
+    c = np.array([0.0, -0.0])
+    x = np.array([[-0.0, -0.0]])
+    m = make_quadratic(2, center=c, scale=2.0)
+    want = 2.0 * (x - c)
+    assert np.signbit(want).tolist() == [[True, False]]
+    assert _same_bits(m.gradient_fn(x), want)
+    assert _same_bits(m.value_fn(x), 0.5 * 2.0 * _sum_sq(x - c))
+
+
+def _identity_model(d):
+    return PotentialModel(
+        d,
+        lambda x: 0.5 * np.sum(x * x, axis=-1),
+        lambda x: x,
+        ConvexityProfile(Convexity.STRONGLY_CONVEX, L=1.0, alpha=1.0),
+        np.zeros(d),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_base",
+    [lambda d: make_quadratic(d, center=0.25, scale=1.5), lambda d: make_power(d, 0.75),
+     _identity_model],
+    ids=["quadratic", "power", "identity"],
+)
+@pytest.mark.parametrize("d", [1, 3])
+def test_penalized_gradient_has_the_bits_of_the_sum(make_base, d):
+    base = make_base(d)
+    alpha = 0.37
+    ridged = penalize(base, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (_drift_rows(d), _drift_rows(d)[5]):
+            kept = x.copy()
+            got = ridged.gradient_fn(x)
+            assert _same_bits(got, base.gradient_fn(x) + alpha * x)
+            assert _same_bits(x, kept)
+            assert got is not x and not np.shares_memory(got, x)
