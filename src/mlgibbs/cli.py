@@ -84,6 +84,12 @@ _READ_BY = {
     "rho": ("weak_ii",),
     "c_r": ("weak_i", "weak_ii"),
 }
+# potential families that read each family-specific field; the other rejects it
+_READ_BY_FAMILY = {
+    "p": ("power",),
+    "scale": ("quadratic",),
+    "center": ("quadratic",),
+}
 
 
 @dataclass(frozen=True)
@@ -180,6 +186,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"config field 'potential.name' must be 'quadratic' or 'power', got {name!r}",
             field="potential.name",
         )
+    for key, families in _READ_BY_FAMILY.items():
+        if key in pot and name not in families:
+            raise ConfigError(
+                f"config field 'potential.{key}' is not read by potential {name!r}",
+                field=f"potential.{key}",
+            )
 
     method = _need(raw, "method")
     if method not in _METHODS:

@@ -119,10 +119,13 @@ class PotentialModel:
 
     value_fn maps (..., d) arrays to (...) nonnegative values, gradient_fn maps
     a float64 (..., d) array to a float64 ndarray of the same shape; the engine
-    uses its result as is, without a conversion.  That result may be a view
-    of the input (lambda x: x is a valid gradient), so callers must not write
-    into it.  closed_form, when present, names the family and parameters, so
-    the reference oracle can use exact or quadrature values.
+    uses its result as is, without a conversion.  That result may be the
+    input itself or a view of it (lambda x: x is a valid gradient, and
+    make_quadratic's gradient returns its input when the center is +0.0 and
+    the scale 1.0), so callers of gradient_fn must not write into it; the
+    gradient method returns a copy the caller owns.  closed_form, when
+    present, names the family and parameters, so the reference oracle can
+    use exact or quadrature values.
     """
 
     dim: int
@@ -146,7 +149,8 @@ class PotentialModel:
         return np.asarray(self.value_fn(np.asarray(x, dtype=float)), dtype=float)
 
     def gradient(self, x) -> np.ndarray:
-        return np.asarray(self.gradient_fn(np.asarray(x, dtype=float)), dtype=float)
+        # a copy: gradient_fn may hand back its input
+        return np.array(self.gradient_fn(np.asarray(x, dtype=float)), dtype=float)
 
 
 def _sum_sq(x: np.ndarray):
@@ -195,13 +199,35 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
     # not the values: [0.0, -0.0] is no scalar.
     shift = float(c[0]) if np.ndim(center) == 0 else c
 
+    # x - (+0.0) and x * 1.0 are x bit for bit for every float64, -0.0
+    # included, so the gradient drops those steps, chosen here once.  -0.0 is
+    # no identity: -0.0 - (-0.0) is +0.0, so the sign bit decides, not ==.
+    centered = not np.any(c) and not np.any(np.signbit(c))
+
     def value(x):
         return 0.5 * scale * _sum_sq(x - shift)
 
-    def gradient(x):
-        g = x - shift
-        g *= scale
-        return g
+    if centered and scale == 1.0:
+
+        def gradient(x):
+            return x
+
+    elif centered:
+
+        def gradient(x):
+            return x * scale
+
+    elif scale == 1.0:
+
+        def gradient(x):
+            return x - shift
+
+    else:
+
+        def gradient(x):
+            g = x - shift
+            g *= scale
+            return g
 
     profile = ConvexityProfile(kind=Convexity.STRONGLY_CONVEX, L=scale, alpha=scale)
     return PotentialModel(
@@ -294,7 +320,7 @@ def penalize(base: PotentialModel, alpha: float) -> PotentialModel:
 
     def gradient(x):
         # the bits of base_gradient(x) + alpha * x in one owned array; the base
-        # result may be a view of x, so it is never written into
+        # result may be x itself, so it is never written into
         g = alpha * x
         g += base_gradient(x)
         return g

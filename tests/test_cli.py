@@ -79,6 +79,19 @@ class TestParseConfig:
             ({"sigma": 10**400}, "sigma"),
             ({"epsilons": [0.4, 0.2]}, "epsilons"),
             ({"method": "single_level", "gamma0": 0.0}, "gamma0"),
+            ({"potential": {"name": "quadratic", "dim": 1, "p": 0.75}}, "potential.p"),
+            (
+                {"potential": {"name": "power", "dim": 1, "p": 0.75, "scale": 5.0}},
+                "potential.scale",
+            ),
+            (
+                {"potential": {"name": "power", "dim": 1, "p": 0.75, "center": 3.0}},
+                "potential.center",
+            ),
+            (
+                {"potential": {"name": "power", "dim": 1, "p": 0.75, "center": 0.0}},
+                "potential.center",
+            ),
         ],
     )
     def test_rejections_name_the_offending_field(self, mutation, field):

@@ -73,14 +73,63 @@ RUN_GOLDENS = [
         "0.0,8,3,1.3126876144042583,0.002672579514240825,0.023701904282379196,"
         "0.14403579044231243,35854.0\n",
     ),
+    # Seed 7, recorded before make_quadratic dropped its subtraction for a
+    # center of +0.0 and its multiply for a scale of 1.0: one config per side
+    # of that rule.  A scale of 2.0 keeps the multiply alone; a center of -0.0
+    # keeps the subtraction; the unpenalized default quadratic drops both.
+    (
+        {
+            "potential": {"name": "quadratic", "dim": 2, "scale": 2.0},
+            "method": "penalized",
+            "f": "coord:0",
+            "epsilon": 0.3,
+            "seed": 7,
+        },
+        "penalized,quadratic,2,1.0,0.3,6,0.05228718065142609,91.08426869478424,"
+        "0.0,8,7,0.01900293088609064,0.01900293088609064,0.0017456501922191363,"
+        "0.04345751143879826,17420.0\n",
+    ),
+    (
+        {
+            "potential": {"name": "quadratic", "dim": 1, "center": -0.0},
+            "method": "penalized",
+            "f": "coord:0",
+            "epsilon": 0.3,
+            "seed": 7,
+        },
+        "penalized,quadratic,1,1.0,0.3,5,0.12088402011977692,48.958028148509655,"
+        "0.0,8,7,-0.02833619779773989,-0.02833619779773989,0.004469933142268498,"
+        "0.06865953397101945,3450.0\n",
+    ),
+    (
+        {
+            "potential": {"name": "quadratic", "dim": 1},
+            "method": "single_level",
+            "f": "coord:0",
+            "epsilon": 0.1,
+            "seed": 7,
+        },
+        "single_level,quadratic,1,1.0,0.1,0,0.1,230.3,0.0,8,7,0.014063673441496383,"
+        "0.014063673441496383,0.006354507589337873,0.07588136168611953,2303.0\n",
+    ),
 ]
 
 
-@pytest.mark.parametrize("raw, row", RUN_GOLDENS, ids=["penalized-quad-d1", "weak-ii-power-d3"])
+@pytest.mark.parametrize(
+    "raw, row",
+    RUN_GOLDENS,
+    ids=[
+        "penalized-quad-d1",
+        "weak-ii-power-d3",
+        "penalized-quad-d2-scale2",
+        "penalized-quad-d1-center-neg0",
+        "single-level-quad-d1",
+    ],
+)
 def test_run_csv_bytes(raw, row, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MLGIBBS_SEED", raising=False)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(dict(raw, sigma=1.0, replicates=8, seed=3)))
+    path.write_text(json.dumps(dict({"sigma": 1.0, "replicates": 8, "seed": 3}, **raw)))
     assert main(["run", "--config", str(path)]) == 0
     assert capsys.readouterr().out == _HEADER + row
 

@@ -316,3 +316,51 @@ def test_penalized_gradient_has_the_bits_of_the_sum(make_base, d):
             assert _same_bits(got, base.gradient_fn(x) + alpha * x)
             assert _same_bits(x, kept)
             assert got is not x and not np.shares_memory(got, x)
+
+
+# make_quadratic drops the subtraction when every center entry is +0.0 and
+# the multiply when the scale is 1.0, for x - (+0.0) and x * 1.0 are x bit
+# for bit.  -0.0 keeps the subtraction: -0.0 - (-0.0) is +0.0, so a rule by
+# value (center == 0) fails the -0.0 cases at x = -0.0.
+_RULE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.2e-308, np.inf, -np.inf,
+                np.exp(20.0), -np.exp(20.0), np.exp(-20.0), -np.exp(-20.0)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, np.nextafter(1.0, 2.0)])
+@pytest.mark.parametrize(
+    "center", [0.0, -0.0, [0.0, 0.0], [0.0, -0.0], 0.5],
+    ids=["+0", "-0", "+0+0", "+0-0", "0.5"],
+)
+def test_quadratic_gradient_has_the_bits_of_the_formula(center, scale):
+    m = make_quadratic(2, center=center, scale=scale)
+    c = np.asarray(center, dtype=float)
+    x = np.array([[a, b] for a in _RULE_VALUES for b in _RULE_VALUES])
+    assert _same_bits(m.gradient_fn(x), (x - c) * scale)
+    for row in (x[0], x[len(_RULE_VALUES) + 1], x[-1]):  # 1-D: (0, 0), (-0, -0), last
+        assert _same_bits(m.gradient_fn(row), (row - c) * scale)
+    nan = np.array([[np.nan, 0.0], [-0.0, np.nan], [np.nan, np.nan]])
+    got, want = m.gradient_fn(nan), (nan - c) * scale
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert _same_bits(got[~np.isnan(got)], want[~np.isnan(want)])
+
+
+def test_centered_unit_quadratic_gradient_is_its_input():
+    x = np.array([[1.5, -0.0]])
+    assert make_quadratic(2).gradient_fn(x) is x
+    assert make_quadratic(2, center=[0.0, 0.0]).gradient_fn(x) is x
+    assert make_quadratic(2, center=-0.0).gradient_fn(x) is not x
+
+
+@pytest.mark.parametrize(
+    "model", [make_quadratic(2), _identity_model(2)], ids=["quadratic", "identity"]
+)
+def test_gradient_method_returns_an_array_it_owns(model):
+    # gradient_fn hands back x itself; gradient() must not
+    for x in (np.array([[1.5, -0.0], [2.0, 3.0]]), np.array([1.5, -0.0])):
+        kept = x.copy()
+        assert np.shares_memory(model.gradient_fn(x), x)
+        got = model.gradient(x)
+        assert not np.shares_memory(got, x)
+        assert _same_bits(got, kept)
+        got += 1.0
+        assert _same_bits(x, kept)
