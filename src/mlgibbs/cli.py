@@ -284,7 +284,6 @@ def build_model(config: ExperimentConfig) -> PotentialModel:
     dim = _positive_int(pot.get("dim", 1), "potential.dim")
     try:
         if name == "quadratic":
-            # a scalar stays a scalar, which make_quadratic subtracts as one float
             center = pot.get("center", 0.0)
             if isinstance(center, list):
                 center = [_finite_real(c, "potential.center") for c in center]

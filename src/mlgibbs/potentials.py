@@ -123,7 +123,7 @@ class PotentialModel:
     input itself or a view of it (lambda x: x is a valid gradient, and
     make_quadratic's gradient returns its input when the center is +0.0 and
     the scale 1.0), so callers of gradient_fn must not write into it; the
-    gradient method returns a copy the caller owns.  closed_form, when
+    gradient method returns an array the caller owns.  closed_form, when
     present, names the family and parameters, so the reference oracle can
     use exact or quadrature values.
     """
@@ -149,8 +149,12 @@ class PotentialModel:
         return np.asarray(self.value_fn(np.asarray(x, dtype=float)), dtype=float)
 
     def gradient(self, x) -> np.ndarray:
-        # a copy: gradient_fn may hand back its input
-        return np.array(self.gradient_fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        g = self.gradient_fn(x)
+        # gradient_fn may hand back its input: copy only then
+        if np.may_share_memory(g, x):
+            return np.array(g, dtype=float)
+        return np.asarray(g, dtype=float)
 
 
 def _sum_sq(x: np.ndarray):
@@ -194,38 +198,24 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
     if not (scale > 0.0 and math.isfinite(scale)):
         raise InvalidParameterError(f"scale must be positive and finite, got {scale}")
     c = _as_center(center, dim)
-    # A scalar center is subtracted as one float: the same IEEE subtraction per
-    # entry as the (d,) array, without broadcasting it.  The argument decides,
-    # not the values: [0.0, -0.0] is no scalar.
-    shift = float(c[0]) if np.ndim(center) == 0 else c
-
     # x - (+0.0) and x * 1.0 are x bit for bit for every float64, -0.0
-    # included, so the gradient drops those steps, chosen here once.  -0.0 is
-    # no identity: -0.0 - (-0.0) is +0.0, so the sign bit decides, not ==.
-    centered = not np.any(c) and not np.any(np.signbit(c))
+    # included, so the default bowl's gradient is its input, chosen here once.
+    # -0.0 is no identity: -0.0 - (-0.0) is +0.0, so the sign bit decides,
+    # not ==.
+    identity = scale == 1.0 and not np.any(c) and not np.any(np.signbit(c))
 
     def value(x):
-        return 0.5 * scale * _sum_sq(x - shift)
+        return 0.5 * scale * _sum_sq(x - c)
 
-    if centered and scale == 1.0:
+    if identity:
 
         def gradient(x):
             return x
 
-    elif centered:
-
-        def gradient(x):
-            return x * scale
-
-    elif scale == 1.0:
-
-        def gradient(x):
-            return x - shift
-
     else:
 
         def gradient(x):
-            g = x - shift
+            g = x - c
             g *= scale
             return g
 

@@ -250,9 +250,9 @@ def test_sum_sq_of_other_dtypes_is_the_reduce(dtype):
     assert np.array_equal(got, want)
 
 
-# Drift bits: a scalar center is subtracted as one float and the ridge
-# gradient is built in one owned array; both must keep the bits of the
-# array formulas, also on signed zeros, huge and subnormal entries.
+# Drift bits: a scalar center and the ridge gradient, built in one owned
+# array, must keep the bits of the array formulas, also on signed zeros,
+# huge and subnormal entries.
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -318,10 +318,10 @@ def test_penalized_gradient_has_the_bits_of_the_sum(make_base, d):
             assert got is not x and not np.shares_memory(got, x)
 
 
-# make_quadratic drops the subtraction when every center entry is +0.0 and
-# the multiply when the scale is 1.0, for x - (+0.0) and x * 1.0 are x bit
-# for bit.  -0.0 keeps the subtraction: -0.0 - (-0.0) is +0.0, so a rule by
-# value (center == 0) fails the -0.0 cases at x = -0.0.
+# make_quadratic's gradient is its input when every center entry is +0.0 and
+# the scale is 1.0, for x - (+0.0) and x * 1.0 are x bit for bit.  -0.0 keeps
+# the formula: -0.0 - (-0.0) is +0.0, so a rule by value (center == 0) fails
+# the -0.0 cases at x = -0.0.
 _RULE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.2e-308, np.inf, -np.inf,
                 np.exp(20.0), -np.exp(20.0), np.exp(-20.0), -np.exp(-20.0)]
 
