@@ -6,8 +6,8 @@ seed (the MLGIBBS_SEED environment variable overrides it), and output is
 deterministic byte for byte.
 
 Exit codes: 0 success, 1 failed diagnostic or overflow, 2 invalid config,
-3 infeasible calibration, 4 accuracy assertion failed, 5 reference oracle
-failure.
+3 infeasible calibration or a run over its gradient-evaluation budget,
+4 accuracy assertion failed, 5 reference oracle failure.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_EPS_ASSERT = 4
 EXIT_ORACLE = 5
+
+# gradient evaluations that run and sweep start without --max-grad-evals
+MAX_GRAD_EVALS = 10**10
 
 _METHODS = ("penalized", "weak_i", "weak_ii", "single_level")
 _TOP_FIELDS = {
@@ -474,12 +477,27 @@ def _run_row(config: ExperimentConfig, setup: RunSetup):
     return report, row
 
 
+def _check_budget(config: ExperimentConfig, setups: Sequence[RunSetup], budget: int):
+    """Refuse, before the oracle and any simulation, a command whose exact
+    gradient-evaluation count exceeds budget."""
+
+    total = sum(cost_of(setup.schedule) for setup in setups) * config.replicates
+    if total > budget:
+        raise InfeasibleCalibrationError(
+            f"the schedule needs {total} gradient evaluations over "
+            f"{config.replicates} replicates, above the budget of {budget}; "
+            "raise it with --max-grad-evals"
+        )
+
+
 def cmd_run(
     config: ExperimentConfig,
     out_path: Optional[str] = None,
     assert_eps: Optional[float] = None,
+    max_grad_evals: int = MAX_GRAD_EVALS,
 ) -> int:
     setup = prepare_run(config)
+    _check_budget(config, [setup], max_grad_evals)
     report, row = _run_row(config, setup)
     _emit(MSE_CSV_HEADER + "\n" + row, out_path)
     if assert_eps is not None and report.rmse > setup.epsilon * assert_eps:
@@ -492,15 +510,20 @@ def cmd_run(
     return EXIT_OK
 
 
-def cmd_sweep(config: ExperimentConfig, out_path: Optional[str] = None) -> int:
+def cmd_sweep(
+    config: ExperimentConfig,
+    out_path: Optional[str] = None,
+    max_grad_evals: int = MAX_GRAD_EVALS,
+) -> int:
     if config.epsilons is None:
         raise ConfigError(
             "sweep requires config field 'epsilons' (>= 3 values)", field="epsilons"
         )
+    setups = [prepare_run(config, epsilon=eps) for eps in config.epsilons]
+    _check_budget(config, setups, max_grad_evals)
     rows = []
     costs = []
-    for eps in config.epsilons:
-        setup = prepare_run(config, epsilon=eps)
+    for setup in setups:
         report, row = _run_row(config, setup)
         rows.append(row)
         costs.append(report.mean_cost)
@@ -522,6 +545,12 @@ def cmd_diag(suite: str, seed: int, out_path: Optional[str] = None) -> int:
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
+def _budget(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_args(argv: Optional[Sequence[str]]):
     parser = argparse.ArgumentParser(
         prog="mlgibbs",
@@ -539,6 +568,14 @@ def _parse_args(argv: Optional[Sequence[str]]):
                 default=None,
                 help="exit 4 unless rmse <= epsilon * this tolerance",
             )
+        if name != "calibrate":
+            p.add_argument(
+                "--max-grad-evals",
+                type=_budget,
+                default=MAX_GRAD_EVALS,
+                help="exit 3 before any simulation if the exact gradient "
+                f"evaluations exceed this (default {MAX_GRAD_EVALS})",
+            )
     p = sub.add_parser("diag")
     p.add_argument("suite", help="diagnostic suite name")
     p.add_argument("--out", default=None)
@@ -555,8 +592,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "calibrate":
             return cmd_calibrate(config, args.out)
         if args.command == "run":
-            return cmd_run(config, args.out, args.assert_eps)
-        return cmd_sweep(config, args.out)
+            return cmd_run(config, args.out, args.assert_eps, args.max_grad_evals)
+        return cmd_sweep(config, args.out, args.max_grad_evals)
     except ConfigError as exc:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"config error: {exc}{field}", file=sys.stderr)

@@ -13,10 +13,14 @@ The drivers are plain numpy, so a rerun gives the same bytes in every
 environment.  The loop is bound by the per-call overhead of numpy on small
 arrays, so it keeps the number of calls per step low without changing a
 single float operation.  Each lane's Gaussians are drawn straight into its
-row of the chunk buffer, and the chunk is scaled once, in place.  Each step
-writes its state into the next slot of a small trajectory buffer, and the
-recorder reads the block's slots in one call: the window sums evaluate the
-observable on the slots past burn-in and add its values with
+row of the (R, count, d) chunk buffer, and the chunk is scaled once, in
+place.  At each block boundary one call copies the block's vectors into a
+reused step-major buffer of shape (draws * _BLOCK, R, d), moving each d-vector
+as one opaque 8d-byte element, so a step adds one contiguous (R, d) slab
+instead of rows a chunk apart; memory is the chunk plus that one block buffer.
+Each step writes its state into the next slot of a small trajectory buffer,
+and the recorder reads the block's slots in one call: the window sums
+evaluate the observable on the slots past burn-in and add its values with
 np.add.accumulate, which adds strictly in step order, so the sums carry the
 bits of one addition per step; the series helpers take one lane mean per
 slot.  Like the lane batching, this relies on drift and observable maps
@@ -113,8 +117,10 @@ def _add_in_step_order(acc: np.ndarray, v: np.ndarray) -> None:
 def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
     """Advance state, an (..., R, d) array, by n_steps steps in place.
 
-    step(x, y, noise, k) writes the successor of x into y, using the draws
-    vectors per lane noise[:, draws * k : draws * (k + 1)], already scaled.
+    step(x, y, noise, k) writes the successor of x into y.  noise is the
+    current block, step-major: the (R, d) slabs noise[draws * k] to
+    noise[draws * (k + 1) - 1] are the step's draws for every lane, already
+    scaled, and k counts steps from the start of the block.
     record(traj, k, b) runs after each block of b steps from grid point k:
     slot 0 of traj holds the state at k and slot i + 1 the state at k + i + 1.
     """
@@ -123,16 +129,22 @@ def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
     traj = np.empty((_BLOCK + 1,) + state.shape)
     slots = list(traj)
     slots[0][...] = state
+    # each d-vector moves as one opaque 8d-byte element: a copy, no arithmetic
+    vec = np.dtype((np.void, 8 * d))
+    block = np.empty((draws * _BLOCK, R, d))
+    block_vecs = block.view(vec)[..., 0]
     chunk = _chunk_steps(R, draws * d)
     k0 = 0
     while k0 < n_steps:
         n = min(chunk, n_steps - k0)
         noise = _draw_chunk(streams, draws * n)
         noise *= scale
+        noise_vecs = noise.view(vec)[..., 0]
         for b0 in range(0, n, _BLOCK):
             b = min(_BLOCK, n - b0)
+            block_vecs[:draws * b] = noise_vecs[:, draws * b0:draws * (b0 + b)].T
             for i in range(b):
-                step(slots[i], slots[i + 1], noise, b0 + i)
+                step(slots[i], slots[i + 1], block, i)
             record(traj, k0 + b0, b)
             slots[0][...] = slots[b]
         k0 += n
@@ -146,7 +158,7 @@ def _chain_step(model: PotentialModel, gamma: float) -> Callable:
 
     def step(x, y, noise, k):
         np.subtract(x, gamma * grad(x), out=y)
-        y += noise[:, k]
+        y += noise[k]
 
     return step
 
@@ -167,10 +179,10 @@ def _coupled_step(model: PotentialModel, gamma: float) -> Callable:
     def step(x, y, noise, k):
         g = grad(x.reshape(-1, d)).reshape(x.shape)
         np.subtract(x, steps * g, out=y)
-        y += noise[:, 2 * k]
+        y += noise[2 * k]
         fine = y[0]
         fine -= gfine * grad(fine)
-        y += noise[:, 2 * k + 1]
+        y += noise[2 * k + 1]
 
     return step
 

@@ -171,8 +171,8 @@ def _sum_sq(x: np.ndarray):
     d = xx.shape[-1]
     if xx.dtype != np.float64 or not 0 < d < 8:
         return np.add.reduce(xx, axis=-1)
-    s = xx[..., 0].copy()
-    for k in range(1, d):
+    s = xx[..., 0].copy() if d == 1 else xx[..., 0] + xx[..., 1]
+    for k in range(2, d):
         s += xx[..., k]
     return s[()]
 

@@ -4,11 +4,12 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from mlgibbs import ConfigError, diagnostics
+from mlgibbs import ConfigError, cli, diagnostics
 from mlgibbs.cli import (
     EXIT_CONFIG,
     EXIT_EPS_ASSERT,
@@ -25,6 +26,7 @@ from mlgibbs.cli import (
     prepare_run,
 )
 from mlgibbs.diagnostics import MSE_CSV_HEADER
+from mlgibbs.estimator import cost_of
 
 
 def base_config(**overrides):
@@ -511,6 +513,74 @@ class TestMainEntry:
         assert dropped.out != clean.out
         header = MSE_CSV_HEADER.split(",")
         assert dropped.out.splitlines()[1].split(",")[header.index("R")] == "99"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_schedule_beyond_the_budget_exits_three_before_any_work(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # weak_i at epsilon 1e-20 calibrates to about 2.2e64 gradient
+        # evaluations per replicate
+        def never(*args, **kwargs):
+            raise AssertionError("ran the oracle or a simulation over budget")
+
+        monkeypatch.setattr(cli, "reference_for", never)
+        monkeypatch.setattr(diagnostics, "run_replicates", never)
+        raw = base_config(
+            potential={"name": "power", "dim": 1, "p": 0.75}, method="weak_i",
+            f="norm2",
+        )
+        if command == "sweep":
+            del raw["epsilon"]
+            raw["epsilons"] = [1e-18, 1e-19, 1e-20]
+        else:
+            raw["epsilon"] = 1e-20
+        config = parse_config(raw)
+        setups = [prepare_run(config, eps) for eps in config.epsilons or [config.epsilon]]
+        total = sum(cost_of(s.schedule) for s in setups) * raw["replicates"]
+        assert total > 10**64
+        path = write_config(tmp_path, raw)
+        start = time.perf_counter()
+        assert main([command, "--config", path]) == EXIT_INFEASIBLE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible calibration:")
+        assert f" {total} gradient evaluations" in captured.err
+        assert "--max-grad-evals" in captured.err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_max_grad_evals_sets_the_budget(self, command, tmp_path, capsys):
+        raw = base_config(method="single_level", epsilons=[0.8, 0.4, 0.2], replicates=5)
+        config = parse_config(raw)
+        epsilons = config.epsilons if command == "sweep" else [config.epsilon]
+        total = 5 * sum(cost_of(prepare_run(config, eps).schedule) for eps in epsilons)
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path, "--max-grad-evals", str(total)]) == EXIT_OK
+        assert MSE_CSV_HEADER in capsys.readouterr().out
+        assert main([command, "--config", path, "--max-grad-evals", str(total - 1)]) == (
+            EXIT_INFEASIBLE
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"above the budget of {total - 1}" in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "1e9", "many"])
+    def test_max_grad_evals_must_be_a_positive_integer(self, value, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", path, "--max-grad-evals", value])
+        assert err.value.code == EXIT_CONFIG
+        assert "--max-grad-evals" in capsys.readouterr().err
+
+    def test_benchmark_configs_fit_the_default_budget(self):
+        for potential, method, epsilon in [
+            ({"name": "quadratic", "dim": 1}, "penalized", 0.18),
+            ({"name": "power", "dim": 3, "p": 0.75}, "weak_ii", 2.0),
+        ]:
+            config = parse_config(base_config(
+                potential=potential, method=method, epsilon=epsilon, replicates=100
+            ))
+            assert 100 * cost_of(prepare_run(config).schedule) <= cli.MAX_GRAD_EVALS
 
     def test_installed_script_smoke(self, tmp_path):
         path = write_config(tmp_path, base_config(epsilon=0.3))

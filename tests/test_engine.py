@@ -308,6 +308,64 @@ class TestBlockedNumpyLoop:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
+    # 8- and 24-byte noise vectors; d = 2 is the cases above
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("chunk", [20, None])
+    @pytest.mark.parametrize("n, burn", WINDOWS)
+    def test_occupation_sums_in_other_dimensions(self, blocks, chunk, n, burn, d, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: chunk)
+        model = make_power(d, 0.75)
+        x0 = np.array([0.4, -0.2, 0.1][:d])
+        f = uncoded(squared_norm)
+        sums, ok, pos = engine.occupation_sums(
+            model, f, x0, 0.05, 1.0, n, burn, engine.make_streams(3, [0, 4, 9], d)
+        )
+        want, want_pos = _per_step_occupation(
+            model, f, x0, 0.05, 1.0, n, burn, engine.make_streams(3, [0, 4, 9], d)
+        )
+        assert ok.all()
+        np.testing.assert_array_equal(sums, want)
+        np.testing.assert_array_equal(pos, want_pos)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("chunk", [20, None])
+    @pytest.mark.parametrize("n, burn", WINDOWS)
+    def test_coupled_diff_sums_in_other_dimensions(self, blocks, chunk, n, burn, d, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: chunk)
+        model = make_power(d, 0.75)
+        x0 = np.array([0.4, -0.2, 0.1][:d])
+        f = uncoded(squared_norm)
+        sums, ok, pf, pc = engine.coupled_diff_sums(
+            model, f, x0, 0.1, 1.0, n, burn, engine.make_streams(3, [0, 4, 9], d)
+        )
+        want, want_f, want_c = _per_step_coupled(
+            model, f, x0, 0.1, 1.0, n, burn, engine.make_streams(3, [0, 4, 9], d)
+        )
+        assert ok.all()
+        np.testing.assert_array_equal(sums, want)
+        np.testing.assert_array_equal(pf, want_f)
+        np.testing.assert_array_equal(pc, want_c)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("chunk", [20, None])
+    @pytest.mark.parametrize("n", [150, 13])
+    def test_pair_distance_series_in_other_dimensions(self, blocks, chunk, n, d, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: chunk)
+        base = make_quadratic(d, center=np.array([0.3, -0.2, 0.5][:d]), scale=1.5)
+        models = (penalize(base, 1.0), penalize(base, 0.25))
+        starts = (np.array([1.0, -1.0, 0.5][:d]), np.array([-0.5, 0.5, 2.0][:d]))
+        got = engine.pair_distance_series(
+            *models, *starts, 0.05, 1.0, n, engine.make_streams(3, range(5), d)
+        )
+        want = _per_step_pair_distance(
+            *models, *starts, 0.05, 1.0, n, engine.make_streams(3, range(5), d)
+        )
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
     def test_row_wise_observable(self, blocks):
         model = make_power(2, 0.75)
         x0 = np.array([0.4, -0.2])
@@ -365,3 +423,27 @@ def test_draw_chunk_fills_each_lane_row_with_one_draw(monkeypatch):
         assert len(args) == 2 and np.shares_memory(args[1], noise[lane])
     want = np.stack([NoiseStream(5, sid, 2).normals(11) for sid in (0, 3, 8)])
     np.testing.assert_array_equal(noise, want)
+
+
+@pytest.mark.parametrize("draws", [1, 2])
+@pytest.mark.parametrize("d", [1, 3])
+def test_each_step_adds_contiguous_lane_slabs(draws, d, monkeypatch):
+    # a step reads its draws as C-contiguous (R, d) slabs, one per draw, in
+    # stream order; blocks of 7 steps straddle chunks of 20
+    monkeypatch.setattr(engine, "_BLOCK", 7)
+    monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: 20)
+    R, n, scale = 3, 45, 0.3
+    seen = []
+
+    def step(x, y, noise, k):
+        for j in range(draws):
+            slab = noise[draws * k + j]
+            assert slab.shape == (R, d) and slab.flags.c_contiguous
+            seen.append(slab.copy())
+        y[...] = x
+
+    state = np.zeros((R, d))
+    engine._advance(state, engine.make_streams(5, [0, 3, 8], d), n, draws, scale,
+                    step, lambda traj, k, b: None)
+    want = np.stack([NoiseStream(5, sid, d).normals(draws * n) for sid in (0, 3, 8)], axis=1)
+    np.testing.assert_array_equal(np.stack(seen), want * scale)
