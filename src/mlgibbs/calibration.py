@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import InfeasibleCalibrationError, InvalidParameterError
-from .potentials import _PARAMETRIC, Convexity, ConvexityProfile
-from .sde import grid_count_up
+from .potentials import _PARAMETRIC, Convexity, ConvexityProfile, PotentialModel
 
 __all__ = [
     "RegimeConstants",
@@ -104,6 +103,41 @@ def step_bound(profile: ConvexityProfile) -> float:
     if profile.kind is Convexity.PARAMETRIC_TWO_SIDED:
         return (1.0 - profile.r) / (4.0 * max(profile.c_upper, profile.L))
     return 1.0 / (4.0 * profile.L)
+
+
+def _check_step_size(model: PotentialModel, gamma: float):
+    # Parametric profiles carry an admissible step bound; exceeding it is an
+    # error.  Outside the parametric regime only warn on a stability heuristic.
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma}")
+    profile = model.profile
+    if profile.kind in _PARAMETRIC:
+        _check_admissible("gamma", gamma, step_bound(profile))
+    elif gamma * profile.L > 0.5:
+        warnings.warn(
+            f"gamma={gamma} is large for gradient Lipschitz constant L={profile.L}; "
+            "the Euler chain may be unstable",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+# Relative slack when snapping times to a step grid; absorbs float
+# representation error in quantities like 0.3 / 0.1.
+_GRID_SNAP = 1e-9
+
+
+def grid_count_up(t: float, gamma: float) -> int:
+    """Number of gamma-steps covering t, rounding t up to the grid."""
+
+    if not gamma > 0.0:
+        raise InvalidParameterError(f"gamma must be positive, got {gamma}")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
+    q = t / gamma
+    if not math.isfinite(q):
+        raise InvalidParameterError(f"t={t} spans more steps of {gamma} than a float holds")
+    return math.ceil(q - _GRID_SNAP * max(1.0, q))
 
 
 def regime_constants(

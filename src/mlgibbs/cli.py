@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +100,7 @@ class ExperimentConfig:
     """Parsed and validated experiment description."""
 
     potential: dict
+    dim: int
     sigma: float
     epsilon: Optional[float]
     epsilons: Optional[Tuple[float, ...]]
@@ -110,7 +111,7 @@ class ExperimentConfig:
     tau: float
     gamma0: Optional[float]
     statement_mode: bool
-    f_spec: str
+    f: Callable
     replicates: int
     seed: int
     safety_T_multiplier: float
@@ -248,9 +249,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"config field 'sigma' must have a positive, finite square, got {sigma!r}",
             field="sigma",
         )
+    dim = _positive_int(pot.get("dim", 1), "potential.dim")
 
     return ExperimentConfig(
         potential=dict(pot),
+        dim=dim,
         sigma=sigma,
         epsilon=epsilon,
         epsilons=epsilons,
@@ -261,7 +264,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         tau=tau,
         gamma0=_positive_real(raw["gamma0"], "gamma0") if "gamma0" in raw else None,
         statement_mode=statement_mode,
-        f_spec=str(_need(raw, "f")),
+        f=parse_observable(_need(raw, "f"), dim),
         replicates=_positive_int(_need(raw, "replicates"), "replicates"),
         seed=seed,
         safety_T_multiplier=_positive_real(
@@ -284,7 +287,6 @@ def load_config(path: str) -> ExperimentConfig:
 def build_model(config: ExperimentConfig) -> PotentialModel:
     pot = config.potential
     name = pot["name"]
-    dim = _positive_int(pot.get("dim", 1), "potential.dim")
     try:
         if name == "quadratic":
             center = pot.get("center", 0.0)
@@ -293,13 +295,13 @@ def build_model(config: ExperimentConfig) -> PotentialModel:
             else:
                 center = _finite_real(center, "potential.center")
             scale = _positive_real(pot.get("scale", 1.0), "potential.scale")
-            model = make_quadratic(dim, center=center, scale=scale)
+            model = make_quadratic(config.dim, center=center, scale=scale)
         else:
             if "p" not in pot:
                 raise ConfigError(
                     "power potential requires 'potential.p'", field="potential.p"
                 )
-            model = make_power(dim, _finite_real(pot["p"], "potential.p"))
+            model = make_power(config.dim, _finite_real(pot["p"], "potential.p"))
         if "penalty_alpha" in pot:
             alpha = _positive_real(pot["penalty_alpha"], "potential.penalty_alpha")
             model = penalize(model, alpha)
@@ -318,14 +320,6 @@ class RunSetup:
     plan: Optional[PenalizedPlan]
     predicted_cost: Optional[float]
     epsilon: float
-
-
-def _single_level_setup(config, model, epsilon) -> LevelSchedule:
-    # baseline comparator: step bounded by the admissible range and the
-    # accuracy
-    bound = step_bound(model.profile)
-    gamma0 = config.gamma0 if config.gamma0 is not None else min(bound, epsilon)
-    return calibrate_single_level(epsilon, config.sigma, model.dim, gamma0)
 
 
 def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> RunSetup:
@@ -379,7 +373,11 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
                 rho=config.rho, gamma0=gamma0,
             )
     else:
-        schedule = _single_level_setup(config, target, epsilon)
+        # baseline comparator: step bounded by the admissible range and the
+        # accuracy
+        bound = step_bound(target.profile)
+        gamma0 = config.gamma0 if config.gamma0 is not None else min(bound, epsilon)
+        schedule = calibrate_single_level(epsilon, config.sigma, target.dim, gamma0)
 
     schedule = build_schedule(
         schedule.gamma[0],
@@ -448,46 +446,53 @@ def cmd_calibrate(config: ExperimentConfig, out_path: Optional[str] = None) -> i
     return EXIT_OK
 
 
-def _run_row(config: ExperimentConfig, setup: RunSetup):
-    f = parse_observable(config.f_spec, setup.target.dim)
-    reference = reference_for(setup.target, f, config.sigma, seed=config.seed)
-    report = run_mse_experiment(
-        setup.sim_model,
-        f,
-        setup.schedule,
-        config.sigma,
-        reference,
-        config.replicates,
-        config.seed,
-        epsilon_target=setup.epsilon,
-    )
-    row = mse_csv_row(
-        config.method,
-        config.potential["name"],
-        setup.target.dim,
-        config.sigma,
-        setup.epsilon,
-        setup.schedule,
-        report,
-        config.seed,
-    )
-    if report.n_failed:
-        print(f"dropped {report.n_failed} of {config.replicates} replicate lanes: "
-              "non-finite path", file=sys.stderr)
-    return report, row
+def run_ladder(
+    config: ExperimentConfig,
+    epsilons: Sequence[Optional[float]],
+    max_grad_evals: int = MAX_GRAD_EVALS,
+):
+    """Calibrate every target of the ladder, refuse a ladder over budget,
+    then run each target against one reference.  Returns the reports and
+    the CSV text."""
 
-
-def _check_budget(config: ExperimentConfig, setups: Sequence[RunSetup], budget: int):
-    """Refuse, before the oracle and any simulation, a command whose exact
-    gradient-evaluation count exceeds budget."""
-
+    setups = [prepare_run(config, epsilon=eps) for eps in epsilons]
+    # the exact gradient-evaluation count, checked before any oracle call
     total = sum(cost_of(setup.schedule) for setup in setups) * config.replicates
-    if total > budget:
+    if total > max_grad_evals:
         raise InfeasibleCalibrationError(
             f"the schedule needs {total} gradient evaluations over "
-            f"{config.replicates} replicates, above the budget of {budget}; "
+            f"{config.replicates} replicates, above the budget of {max_grad_evals}; "
             "raise it with --max-grad-evals"
         )
+    reference = reference_for(setups[0].target, config.f, config.sigma, seed=config.seed)
+    reports = []
+    rows = [MSE_CSV_HEADER]
+    for setup in setups:
+        report = run_mse_experiment(
+            setup.sim_model,
+            config.f,
+            setup.schedule,
+            config.sigma,
+            reference,
+            config.replicates,
+            config.seed,
+            epsilon_target=setup.epsilon,
+        )
+        if report.n_failed:
+            print(f"dropped {report.n_failed} of {config.replicates} replicate lanes: "
+                  "non-finite path", file=sys.stderr)
+        reports.append(report)
+        rows.append(mse_csv_row(
+            config.method,
+            config.potential["name"],
+            config.dim,
+            config.sigma,
+            setup.epsilon,
+            setup.schedule,
+            report,
+            config.seed,
+        ))
+    return reports, "\n".join(rows)
 
 
 def cmd_run(
@@ -496,14 +501,12 @@ def cmd_run(
     assert_eps: Optional[float] = None,
     max_grad_evals: int = MAX_GRAD_EVALS,
 ) -> int:
-    setup = prepare_run(config)
-    _check_budget(config, [setup], max_grad_evals)
-    report, row = _run_row(config, setup)
-    _emit(MSE_CSV_HEADER + "\n" + row, out_path)
-    if assert_eps is not None and report.rmse > setup.epsilon * assert_eps:
+    (report,), text = run_ladder(config, [config.epsilon], max_grad_evals)
+    _emit(text, out_path)
+    if assert_eps is not None and report.rmse > config.epsilon * assert_eps:
         print(
             f"accuracy assertion failed: rmse {report.rmse} > "
-            f"{setup.epsilon} * {assert_eps}",
+            f"{config.epsilon} * {assert_eps}",
             file=sys.stderr,
         )
         return EXIT_EPS_ASSERT
@@ -519,19 +522,12 @@ def cmd_sweep(
         raise ConfigError(
             "sweep requires config field 'epsilons' (>= 3 values)", field="epsilons"
         )
-    setups = [prepare_run(config, epsilon=eps) for eps in config.epsilons]
-    _check_budget(config, setups, max_grad_evals)
-    rows = []
-    costs = []
-    for setup in setups:
-        report, row = _run_row(config, setup)
-        rows.append(row)
-        costs.append(report.mean_cost)
+    reports, text = run_ladder(config, config.epsilons, max_grad_evals)
+    costs = [report.mean_cost for report in reports]
     slope = float(
         np.polyfit(np.log(np.asarray(config.epsilons)), np.log(np.asarray(costs)), 1)[0]
     )
-    text = MSE_CSV_HEADER + "\n" + "\n".join(rows) + f"\n# fitted_cost_slope={slope!r}"
-    _emit(text, out_path)
+    _emit(text + f"\n# fitted_cost_slope={slope!r}", out_path)
     return EXIT_OK
 
 

@@ -27,7 +27,9 @@ from . import engine
 from .calibration import (
     LevelSchedule,
     PenalizedPlan,
+    _check_step_size,
     decreasing_penalization_gap,
+    grid_count_up,
     regime_constants,
     step_bound,
 )
@@ -36,10 +38,10 @@ from .errors import (
     NumericalOverflowError,
     OracleFailureError,
 )
-from .estimator import BatchResult, _point, run_replicates
+from .estimator import BatchResult, run_replicates
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
-from .potentials import FAMILY_QUADRATIC, PotentialModel, _sum_sq, penalize
-from .sde import _check_sigma, _check_step_size, grid_count_up
+from .potentials import FAMILY_QUADRATIC, PotentialModel, _as_point, _sum_sq, penalize
+from .sde import _check_sigma
 
 __all__ = [
     "SLACK_FRACTION",
@@ -344,7 +346,8 @@ def long_run_reference(
     Runs one path at a sixty-fourth of the admissible step for 1e5 times
     that step's bound, discards the first tenth, and averages f over
     n_batches equal batches.  error_estimate is one standard error of the
-    batch means.  Stream id 0 under the given seed; starts at the minimizer.
+    batch means.  Stream id 0 under the given seed, which is also the stream
+    of replicate 0, level 0 of a run under that seed; starts at the minimizer.
     """
 
     _check_sigma(sigma)
@@ -547,7 +550,7 @@ def strong_error_curve(
 
     if len(gammas) < 2:
         raise InvalidParameterError("need at least two step sizes for a slope")
-    x0 = _point(x0, model.dim)
+    x0 = _as_point(x0, model.dim, "x0")
     from .observables import squared_norm
 
     msds, ses = [], []
@@ -606,7 +609,7 @@ def confluence_curve(
     """Track E|X^x_t - X^y_t|^2 for chains sharing their noise."""
 
     n = _probe_steps(model, sigma, gamma, horizon, R, min_lanes=1)
-    x, y = _point(x, model.dim), _point(y, model.dim)
+    x, y = _as_point(x, model.dim, "x"), _as_point(y, model.dim, "y")
     streams = engine.make_streams(seed, list(range(R)), model.dim)
     series, _, _ = engine.pair_distance_series(
         model, model, x, y, gamma, sigma, n, streams
@@ -658,7 +661,7 @@ def moment_envelope_check(
         raise InvalidParameterError(f"c_margin must be positive, got {c_margin}")
     n = _probe_steps(model, sigma, gamma, horizon, R)
     psi = regime_constants(model.profile, model.dim, sigma).psi_bar
-    x0 = _point(x0, model.dim)
+    x0 = _as_point(x0, model.dim, "x0")
     u0 = float(model.value(x0[None, :])[0])
     envelope = c_margin * (u0 + psi) ** p
     streams = engine.make_streams(seed, list(range(R)), model.dim)
@@ -759,7 +762,7 @@ def decreasing_penalization_probe(
     """
 
     n = _probe_steps(model, sigma, gamma, horizon, R)
-    x, y = _point(x, model.dim), _point(y, model.dim)
+    x, y = _as_point(x, model.dim, "x"), _as_point(y, model.dim, "y")
     dist0 = float(_sum_sq(x - y))
     t_end = n * gamma
     bound = decreasing_penalization_gap(

@@ -24,10 +24,10 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import engine
-from .calibration import LevelSchedule, _coarse_grids
+from .calibration import LevelSchedule, _check_step_size, _coarse_grids
 from .errors import InvalidParameterError, NumericalOverflowError
-from .potentials import PotentialModel
-from .sde import _check_sigma, _check_step_size
+from .potentials import PotentialModel, _as_point
+from .sde import _check_sigma
 
 __all__ = [
     "STREAM_LEVEL_SPAN",
@@ -121,17 +121,6 @@ def gaussians_of(schedule: LevelSchedule) -> int:
     return sum(job.gaussians for job in level_jobs(schedule))
 
 
-def _point(x0, d: int) -> np.ndarray:
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 0:
-        x = np.full(d, float(x))
-    if x.shape != (d,):
-        raise InvalidParameterError(f"x0 must have shape ({d},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError("x0 must be finite")
-    return x
-
-
 def run_replicates(
     model: PotentialModel,
     f: Callable,
@@ -153,7 +142,7 @@ def run_replicates(
     R = len(replicate_ids)
     if R < 1:
         raise InvalidParameterError("need at least one replicate id")
-    x0 = _point(x0, model.dim)
+    x0 = _as_point(x0, model.dim, "x0")
     _check_step_size(model, schedule.gamma[0])
 
     jobs = level_jobs(schedule)

@@ -177,15 +177,17 @@ def _sum_sq(x: np.ndarray):
     return s[()]
 
 
-def _as_center(center, dim: int) -> np.ndarray:
-    c = np.asarray(center, dtype=float)
-    if c.ndim == 0:
-        c = np.full(dim, float(c))
-    if c.shape != (dim,):
-        raise InvalidParameterError(f"center must be scalar or length-{dim}, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidParameterError("center must be finite")
-    return c
+def _as_point(value, dim: int, name: str) -> np.ndarray:
+    """value as a finite float (dim,) array; a scalar fills every coordinate.
+    name is the argument's name in the error messages."""
+    x = np.asarray(value, dtype=float)
+    if x.ndim == 0:
+        x = np.full(dim, float(x))
+    if x.shape != (dim,):
+        raise InvalidParameterError(f"{name} must be scalar or length-{dim}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError(f"{name} must be finite")
+    return x
 
 
 def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
@@ -197,7 +199,7 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
 
     if not (scale > 0.0 and math.isfinite(scale)):
         raise InvalidParameterError(f"scale must be positive and finite, got {scale}")
-    c = _as_center(center, dim)
+    c = _as_point(center, dim, "center")
     # x - (+0.0) and x * 1.0 are x bit for bit for every float64, -0.0
     # included, so the default bowl's gradient is its input, chosen here once.
     # -0.0 is no identity: -0.0 - (-0.0) is +0.0, so the sign bit decides,

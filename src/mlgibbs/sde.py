@@ -15,14 +15,14 @@ coarse Brownian increment is exactly the sum of the two fine ones.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
+from .calibration import _GRID_SNAP, _check_step_size, grid_count_up
 from .errors import InvalidParameterError, NumericalOverflowError
-from .potentials import _PARAMETRIC, PotentialModel
+from .potentials import PotentialModel
 
 __all__ = [
     "NoiseStream",
@@ -33,23 +33,6 @@ __all__ = [
     "simulate_coupled",
     "occupation_average",
 ]
-
-# Relative slack when snapping times to a step grid; absorbs float
-# representation error in quantities like 0.3 / 0.1.
-_GRID_SNAP = 1e-9
-
-
-def grid_count_up(t: float, gamma: float) -> int:
-    """Number of gamma-steps covering t, rounding t up to the grid."""
-
-    if not gamma > 0.0:
-        raise InvalidParameterError(f"gamma must be positive, got {gamma}")
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise InvalidParameterError(f"t must be finite and nonnegative, got {t}")
-    q = t / gamma
-    if not math.isfinite(q):
-        raise InvalidParameterError(f"t={t} spans more steps of {gamma} than a float holds")
-    return math.ceil(q - _GRID_SNAP * max(1.0, q))
 
 
 class NoiseStream:
@@ -128,25 +111,6 @@ class CoupledPathState:
 def _check_sigma(sigma: float):
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
-
-
-def _check_step_size(model: PotentialModel, gamma: float):
-    # Parametric profiles carry an admissible step bound; exceeding it is an
-    # error.  Outside the parametric regime only warn on a stability heuristic.
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma}")
-    profile = model.profile
-    if profile.kind in _PARAMETRIC:
-        from .calibration import _check_admissible, step_bound
-
-        _check_admissible("gamma", gamma, step_bound(profile))
-    elif gamma * profile.L > 0.5:
-        warnings.warn(
-            f"gamma={gamma} is large for gradient Lipschitz constant L={profile.L}; "
-            "the Euler chain may be unstable",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def euler_step(

@@ -24,7 +24,7 @@ from mlgibbs.cli import (
     cmd_sweep,
     parse_config,
     prepare_run,
-    _run_row,
+    run_ladder,
 )
 
 SEED = 20260822
@@ -111,8 +111,7 @@ def test_end_to_end_accuracy_on_quadratics(capsys):
     ok = True
     for dim in (1, 2):
         cfg = experiment_config(potential={"name": "quadratic", "dim": dim})
-        setup = prepare_run(cfg)
-        report, _ = _run_row(cfg, setup)
+        (report,), _ = run_ladder(cfg, [cfg.epsilon])
         ok = ok and report.rmse <= 0.3
         details.append(f"d={dim} rmse={report.rmse:.4f}")
     verdict(capsys, " 6/10 quadratic accuracy", ok, " ".join(details) + " (target 0.3)")
@@ -125,8 +124,7 @@ def test_end_to_end_accuracy_on_the_power_family(capsys):
         cfg = experiment_config(
             potential={"name": "power", "dim": 1, "p": 0.75}, method=method
         )
-        setup = prepare_run(cfg)
-        report, _ = _run_row(cfg, setup)
+        (report,), _ = run_ladder(cfg, [cfg.epsilon])
         ok = ok and report.rmse <= 0.3
         details.append(f"{method} rmse={report.rmse:.4f}")
     verdict(capsys, " 7/10 weak-convex accuracy", ok, " ".join(details) + " (target 0.3)")

@@ -94,6 +94,10 @@ class TestParseConfig:
                 {"potential": {"name": "power", "dim": 1, "p": 0.75, "center": 0.0}},
                 "potential.center",
             ),
+            ({"potential": {"name": "quadratic", "dim": 0}}, "potential.dim"),
+            ({"f": "garbage"}, "f"),
+            ({"f": "coord:5", "potential": {"name": "quadratic", "dim": 2}}, "f"),
+            ({"f": 5}, "f"),
         ],
     )
     def test_rejections_name_the_offending_field(self, mutation, field):
@@ -484,6 +488,61 @@ class TestMainEntry:
         assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         assert "(field: potential.scale)" in capsys.readouterr().err
         assert out.read_text() == "earlier result\n"
+
+    @pytest.mark.parametrize("f", ["garbage", "coord:5", 5])
+    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep"])
+    def test_a_bad_observable_exits_two_before_any_work(
+        self, command, f, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("calibrated despite an invalid f")
+
+        monkeypatch.setattr(cli, "prepare_run", never)
+        raw = base_config(
+            potential={"name": "quadratic", "dim": 2}, epsilons=[0.8, 0.4, 0.2], f=f
+        )
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.endswith("(field: f)\n")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_the_reference_is_built_once_per_command(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # the target, f, sigma and seed do not depend on epsilon; calibration
+        # and simulation do
+        calls = {}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        names = ("prepare_run", "reference_for", "fourth_moment_reference",
+                 "run_mse_experiment")
+        for name in names:
+            monkeypatch.setattr(cli, name, counted(name))
+        raw = base_config(replicates=5)
+        if command == "sweep":
+            del raw["epsilon"]
+            raw["epsilons"] = [0.5, 0.4, 0.3]
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_OK
+        n_eps = 3 if command == "sweep" else 1
+        assert calls == {
+            "prepare_run": n_eps,
+            "reference_for": 1,
+            "fourth_moment_reference": n_eps,
+            "run_mse_experiment": n_eps,
+        }
+        assert MSE_CSV_HEADER in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_dropped_lanes_are_reported_on_stderr(self, command, tmp_path, monkeypatch, capsys):
