@@ -108,8 +108,7 @@ def step_bound(profile: ConvexityProfile) -> float:
 def _check_step_size(model: PotentialModel, gamma: float):
     # Parametric profiles carry an admissible step bound; exceeding it is an
     # error.  Outside the parametric regime only warn on a stability heuristic.
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma}")
+    _check_positive("gamma", gamma)
     profile = model.profile
     if profile.kind in _PARAMETRIC:
         _check_admissible("gamma", gamma, step_bound(profile))

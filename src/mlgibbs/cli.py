@@ -27,6 +27,11 @@ from . import diag_suites
 from .calibration import (
     LevelSchedule,
     PenalizedPlan,
+    _check_admissible,
+    _check_delta,
+    _check_nonnegative,
+    _check_open_rho,
+    _check_positive,
     _require_parametric,
     build_schedule,
     calibrate_penalized,
@@ -52,8 +57,9 @@ from .errors import (
     OracleFailureError,
 )
 from .estimator import cost_of
-from .observables import parse_observable
+from .observables import _ascii_int, parse_observable
 from .potentials import (
+    _PARAMETRIC,
     PotentialModel,
     make_power,
     make_quadratic,
@@ -97,10 +103,10 @@ _READ_BY_FAMILY = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description, its target model built once."""
 
-    potential: dict
-    dim: int
+    family: str
+    target: PotentialModel
     sigma: float
     epsilon: Optional[float]
     epsilons: Optional[Tuple[float, ...]]
@@ -123,6 +129,14 @@ def _need(raw: dict, key: str):
     return raw[key]
 
 
+def _checked(field: str, check: Callable, *args):
+    """check(*args), with its InvalidParameterError reported against field."""
+    try:
+        return check(*args)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), field=field) from None
+
+
 def _real(value, key: str) -> float:
     """A JSON number as a float; true, false, strings and null are no numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -133,25 +147,17 @@ def _real(value, key: str) -> float:
         return math.inf
 
 
-def _finite_real(value, key: str) -> float:
-    value = _real(value, key)
-    if not math.isfinite(value):
-        raise ConfigError(f"config field {key!r} must be finite", field=key)
-    return value
-
-
 def _positive_real(value, key: str) -> float:
     value = _real(value, key)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ConfigError(f"config field {key!r} must be positive and finite", field=key)
+    _checked(key, _check_positive, key, value)
     return value
 
 
-def _positive_int(value, key: str) -> int:
+def _int_at_least(value, key: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config field {key!r} must be an integer", field=key)
-    if value < 1:
-        raise ConfigError(f"config field {key!r} must be positive", field=key)
+    if value < least:
+        raise ConfigError(f"config field {key!r} must be at least {least}", field=key)
     return value
 
 
@@ -160,14 +166,12 @@ def _seed_from_env(seed: int) -> int:
     env_seed = os.environ.get("MLGIBBS_SEED")
     if env_seed is None:
         return seed
-    try:
-        seed = int(env_seed)
-    except ValueError:
+    seed = _ascii_int(env_seed)
+    if seed is None or seed >= 2**64:
         raise ConfigError(
-            f"MLGIBBS_SEED must be an integer, got {env_seed!r}", field="seed"
-        ) from None
-    if not 0 <= seed < 2**64:
-        raise ConfigError("MLGIBBS_SEED must lie in [0, 2^64)", field="seed")
+            f"MLGIBBS_SEED must be an integer in [0, 2^64) in ASCII digits, got {env_seed!r}",
+            field="seed",
+        )
     return seed
 
 
@@ -237,35 +241,58 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "config field 'statement_mode' must be a boolean", field="statement_mode"
         )
     tau = _real(raw.get("tau", 0.0), "tau")
-    if not 0 <= tau < math.inf:
-        raise ConfigError(
-            "config field 'tau' must be a nonnegative, finite number", field="tau"
-        )
+    _checked("tau", _check_nonnegative, "tau", tau)
 
     sigma = _positive_real(_need(raw, "sigma"), "sigma")
-    if not (sigma * sigma > 0.0 and math.isfinite(sigma * sigma)):
-        # the invariant density exp(-2 U / sigma^2) needs a usable sigma^2
-        raise ConfigError(
-            f"config field 'sigma' must have a positive, finite square, got {sigma!r}",
-            field="sigma",
-        )
-    dim = _positive_int(pot.get("dim", 1), "potential.dim")
+    # the invariant density exp(-2 U / sigma^2) needs a usable sigma^2
+    _checked("sigma", _check_positive, "sigma^2", sigma * sigma)
+    dim = _int_at_least(pot.get("dim", 1), "potential.dim", 1)
+
+    if name == "quadratic":
+        center = pot.get("center", 0.0)
+        if isinstance(center, list):
+            center = [_real(c, "potential.center") for c in center]
+        else:
+            center = _real(center, "potential.center")
+        scale = _positive_real(pot.get("scale", 1.0), "potential.scale")
+        target = _checked("potential.center", make_quadratic, dim, center, scale)
+    else:
+        if "p" not in pot:
+            raise ConfigError("power potential requires 'potential.p'", field="potential.p")
+        target = _checked("potential.p", make_power, dim, _real(pot["p"], "potential.p"))
+    if "penalty_alpha" in pot:
+        alpha = _positive_real(pot["penalty_alpha"], "potential.penalty_alpha")
+        target = _checked("potential.penalty_alpha", penalize, target, alpha)
+
+    # the ranges are calibration's; a default is always in range, and only a
+    # method that reads a field may set it
+    delta = _real(raw.get("delta", 0.25), "delta")
+    _checked("delta", _check_delta, delta)
+    rho = _real(raw.get("rho", 0.5), "rho")
+    _checked("rho", _check_open_rho, rho)
+    c_r = _positive_real(raw.get("c_r", 1.0), "c_r")
+    if method in ("weak_i", "weak_ii"):
+        _checked("method", _require_parametric, target.profile)
+        _checked("c_r", regime_constants, target.profile, dim, sigma, c_r)
+    gamma0 = _positive_real(raw["gamma0"], "gamma0") if "gamma0" in raw else None
+    if gamma0 is not None and target.profile.kind in _PARAMETRIC:
+        _checked("gamma0", _check_admissible, "gamma0", gamma0, step_bound(target.profile))
 
     return ExperimentConfig(
-        potential=dict(pot),
-        dim=dim,
+        family=name,
+        target=target,
         sigma=sigma,
         epsilon=epsilon,
         epsilons=epsilons,
         method=method,
-        delta=_positive_real(raw.get("delta", 0.25), "delta"),
-        rho=_positive_real(raw.get("rho", 0.5), "rho"),
-        c_r=_positive_real(raw.get("c_r", 1.0), "c_r"),
+        delta=delta,
+        rho=rho,
+        c_r=c_r,
         tau=tau,
-        gamma0=_positive_real(raw["gamma0"], "gamma0") if "gamma0" in raw else None,
+        gamma0=gamma0,
         statement_mode=statement_mode,
         f=parse_observable(_need(raw, "f"), dim),
-        replicates=_positive_int(_need(raw, "replicates"), "replicates"),
+        replicates=_int_at_least(_need(raw, "replicates"), "replicates", 2),
         seed=seed,
         safety_T_multiplier=_positive_real(
             raw.get("safety_T_multiplier", 1.0), "safety_T_multiplier"
@@ -284,37 +311,10 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def build_model(config: ExperimentConfig) -> PotentialModel:
-    pot = config.potential
-    name = pot["name"]
-    try:
-        if name == "quadratic":
-            center = pot.get("center", 0.0)
-            if isinstance(center, list):
-                center = [_finite_real(c, "potential.center") for c in center]
-            else:
-                center = _finite_real(center, "potential.center")
-            scale = _positive_real(pot.get("scale", 1.0), "potential.scale")
-            model = make_quadratic(config.dim, center=center, scale=scale)
-        else:
-            if "p" not in pot:
-                raise ConfigError(
-                    "power potential requires 'potential.p'", field="potential.p"
-                )
-            model = make_power(config.dim, _finite_real(pot["p"], "potential.p"))
-        if "penalty_alpha" in pot:
-            alpha = _positive_real(pot["penalty_alpha"], "potential.penalty_alpha")
-            model = penalize(model, alpha)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc), field="potential") from exc
-    return model
-
-
 @dataclass(frozen=True)
 class RunSetup:
     """Everything needed to execute one configuration at one accuracy."""
 
-    target: PotentialModel
     sim_model: PotentialModel
     schedule: LevelSchedule
     plan: Optional[PenalizedPlan]
@@ -328,7 +328,7 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
     epsilon = epsilon if epsilon is not None else config.epsilon
     if epsilon is None:
         raise ConfigError("missing required config field 'epsilon'", field="epsilon")
-    target = build_model(config)
+    target = config.target
     sim_model = target
     plan = None
     predicted = None
@@ -348,10 +348,6 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
         schedule = plan.schedule
         predicted = plan.predicted_cost
     elif config.method in ("weak_i", "weak_ii"):
-        try:
-            _require_parametric(target.profile)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"method {config.method!r}: {exc}", field="c_lower") from exc
         constants = regime_constants(
             target.profile, target.dim, config.sigma, config.c_r
         )
@@ -386,7 +382,6 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
         rho=schedule.rho,
     )
     return RunSetup(
-        target=target,
         sim_model=sim_model,
         schedule=schedule,
         plan=plan,
@@ -398,8 +393,8 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
 def _plan_json(config: ExperimentConfig, setup: RunSetup) -> str:
     payload = {
         "method": config.method,
-        "potential": config.potential["name"],
-        "dim": setup.target.dim,
+        "potential": config.family,
+        "dim": config.target.dim,
         "sigma": config.sigma,
         "epsilon": setup.epsilon,
     }
@@ -464,7 +459,7 @@ def run_ladder(
             f"{config.replicates} replicates, above the budget of {max_grad_evals}; "
             "raise it with --max-grad-evals"
         )
-    reference = reference_for(setups[0].target, config.f, config.sigma, seed=config.seed)
+    reference = reference_for(config.target, config.f, config.sigma, seed=config.seed)
     reports = []
     rows = [MSE_CSV_HEADER]
     for setup in setups:
@@ -484,8 +479,8 @@ def run_ladder(
         reports.append(report)
         rows.append(mse_csv_row(
             config.method,
-            config.potential["name"],
-            config.dim,
+            config.family,
+            config.target.dim,
             config.sigma,
             setup.epsilon,
             setup.schedule,
@@ -542,9 +537,10 @@ def cmd_diag(suite: str, seed: int, out_path: Optional[str] = None) -> int:
 
 
 def _budget(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    value = _ascii_int(text)
+    if not value:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+    return value
 
 
 def _parse_args(argv: Optional[Sequence[str]]):

@@ -27,6 +27,7 @@ from . import engine
 from .calibration import (
     LevelSchedule,
     PenalizedPlan,
+    _check_positive,
     _check_step_size,
     decreasing_penalization_gap,
     grid_count_up,
@@ -38,10 +39,9 @@ from .errors import (
     NumericalOverflowError,
     OracleFailureError,
 )
-from .estimator import BatchResult, run_replicates
+from .estimator import STREAM_LEVEL_SPAN, BatchResult, run_replicates
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
 from .potentials import FAMILY_QUADRATIC, PotentialModel, _as_point, _sum_sq, penalize
-from .sde import _check_sigma
 
 __all__ = [
     "SLACK_FRACTION",
@@ -263,7 +263,7 @@ def reference_moment(
 
     if model.dim != 1:
         raise InvalidParameterError("reference_moment needs a one-dimensional model")
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     fv = _scalar_observable(f)
     return _quadrature_ratio(model, sigma, fv, lambda x: fv([x])[0], epsrel)
 
@@ -296,7 +296,7 @@ def reference_for(
     quadrature; anything else runs the long-chain oracle under seed.
     """
 
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     code = obs_code(f)
     d = model.dim
     g = _gaussian_params(model, sigma)
@@ -350,7 +350,7 @@ def long_run_reference(
     of replicate 0, level 0 of a run under that seed; starts at the minimizer.
     """
 
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     bound = step_bound(model.profile)
     gamma = bound / 64.0
     n_total = grid_count_up(1e5 * bound, gamma)
@@ -394,7 +394,7 @@ def w1_distance_1d(
 
     if model_a.dim != 1 or model_b.dim != 1:
         raise InvalidParameterError("w1_distance_1d needs one-dimensional models")
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     wa = _weight(model_a, sigma)
     wb = _weight(model_b, sigma)
     a1, b1 = _bracket(wa, float(model_a.minimizer[0]))
@@ -501,7 +501,7 @@ def _probe_steps(
     """
     if R < min_lanes:
         raise InvalidParameterError(f"need at least {min_lanes} lanes, got {R}")
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     _check_step_size(model, gamma)
     return grid_count_up(horizon, gamma)
 
@@ -557,7 +557,7 @@ def strong_error_curve(
     for i, gamma in enumerate(gammas):
         n = _probe_steps(model, sigma, gamma, horizon, R)
         streams = engine.make_streams(
-            seed, [i * (1 << 20) + lane for lane in range(R)], model.dim
+            seed, [i * STREAM_LEVEL_SPAN + lane for lane in range(R)], model.dim
         )
         # only the terminal positions are used, so a burn of n - 1 skips
         # summing the observable at every step but the last

@@ -24,10 +24,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import engine
-from .calibration import LevelSchedule, _check_step_size, _coarse_grids
+from .calibration import LevelSchedule, _check_positive, _check_step_size, _coarse_grids
 from .errors import InvalidParameterError, NumericalOverflowError
 from .potentials import PotentialModel, _as_point
-from .sde import _check_sigma
 
 __all__ = [
     "STREAM_LEVEL_SPAN",
@@ -138,7 +137,7 @@ def run_replicates(
     which is useful for degenerate-variance checks.
     """
 
-    _check_sigma(sigma)
+    _check_positive("sigma", sigma)
     R = len(replicate_ids)
     if R < 1:
         raise InvalidParameterError("need at least one replicate id")

@@ -59,6 +59,17 @@ def fourth_norm(x):
 fourth_norm._obs_code = (OBS_NORM4, 0)
 
 
+def _ascii_int(text: str):
+    """The integer that text spells in ASCII digits alone, else None; int()
+    would also take signs, spaces, underscores and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts from a string
+        return None
+
+
 def parse_observable(spec: str, dim: int):
     """Resolve an observable name from a config: coord:k, norm or norm2."""
 
@@ -69,11 +80,10 @@ def parse_observable(spec: str, dim: int):
     if spec == "norm2":
         return squared_norm
     if spec.startswith("coord:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"malformed observable {spec!r}", field="f") from None
-        if not 0 <= k < dim:
+        k = _ascii_int(spec[len("coord:"):])
+        if k is None:
+            raise ConfigError(f"malformed observable {spec!r}", field="f")
+        if k >= dim:
             raise ConfigError(
                 f"coordinate index {k} out of range for dim={dim}", field="f"
             )

@@ -108,11 +108,6 @@ class CoupledPathState:
     coarse: PathState
 
 
-def _check_sigma(sigma: float):
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
-
-
 def euler_step(
     model: PotentialModel, state: PathState, sigma: float, noise_vec: np.ndarray
 ) -> PathState:

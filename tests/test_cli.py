@@ -15,7 +15,6 @@ from mlgibbs.cli import (
     EXIT_EPS_ASSERT,
     EXIT_INFEASIBLE,
     EXIT_OK,
-    build_model,
     cmd_calibrate,
     cmd_diag,
     cmd_run,
@@ -47,6 +46,21 @@ def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+POWER = {"name": "power", "dim": 1, "p": 0.75}
+# well-typed fields that the calibration or the potential's constructor rejects
+INVALID_IN_RANGE = [
+    ({"replicates": 1}, "replicates"),
+    ({"method": "single_level", "potential": POWER, "gamma0": 5.0}, "gamma0"),
+    ({"method": "weak_ii", "potential": POWER, "gamma0": 5.0}, "gamma0"),
+    ({"method": "weak_ii", "potential": POWER, "rho": 1.5}, "rho"),
+    ({"method": "weak_ii", "potential": POWER, "delta": 0.5}, "delta"),
+    ({"method": "weak_i", "potential": POWER, "c_r": 1e-300}, "c_r"),
+    ({"potential": {"name": "power", "dim": 1, "p": 0.3}}, "potential.p"),
+    ({"potential": {"name": "quadratic", "dim": 2, "center": [0.0] * 3}}, "potential.center"),
+    ({"method": "weak_i"}, "method"),
+]
 
 
 class TestParseConfig:
@@ -98,6 +112,12 @@ class TestParseConfig:
             ({"f": "garbage"}, "f"),
             ({"f": "coord:5", "potential": {"name": "quadratic", "dim": 2}}, "f"),
             ({"f": 5}, "f"),
+            # int() would read each of these as 0
+            ({"f": "coord:0_0"}, "f"),
+            ({"f": "coord: 0"}, "f"),
+            ({"f": "coord:+0"}, "f"),
+            ({"f": "coord:\u0660"}, "f"),
+            *INVALID_IN_RANGE,
         ],
     )
     def test_rejections_name_the_offending_field(self, mutation, field):
@@ -106,6 +126,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         assert err.value.field == field
+        # a field of the config, not of an object built from it; an unknown
+        # field is named as it was given
+        top, _, key = field.partition(".")
+        known = field in cli._TOP_FIELDS or (
+            top == "potential" and key in cli._POTENTIAL_FIELDS
+        )
+        assert known or str(err.value).startswith("unknown config field")
 
     @pytest.mark.parametrize("key", ["potential", "method", "sigma", "f", "replicates", "seed"])
     def test_missing_required_fields(self, key):
@@ -194,14 +221,14 @@ class TestBuildModel:
     def test_power_requires_an_exponent(self):
         raw = base_config(potential={"name": "power", "dim": 1}, method="weak_i")
         with pytest.raises(ConfigError) as err:
-            build_model(parse_config(raw))
+            parse_config(raw)
         assert err.value.field == "potential.p"
 
     @pytest.mark.parametrize("dim", [0, -1, 1.5, True, "2"])
     def test_dim_must_be_a_positive_integer(self, dim):
         raw = base_config(potential={"name": "quadratic", "dim": dim})
         with pytest.raises(ConfigError) as err:
-            build_model(parse_config(raw))
+            parse_config(raw)
         assert err.value.field == "potential.dim"
 
     @pytest.mark.parametrize(
@@ -233,7 +260,7 @@ class TestBuildModel:
             potential["p"] = 0.75
         raw = base_config(potential=potential, method="single_level")
         with pytest.raises(ConfigError) as err:
-            build_model(parse_config(raw))
+            parse_config(raw)
         assert err.value.field == f"potential.{field}"
         path = write_config(tmp_path, raw)
         assert main(["calibrate", "--config", path]) == EXIT_CONFIG
@@ -246,13 +273,13 @@ class TestBuildModel:
         raw = base_config(
             potential={"name": "quadratic", "dim": 2, "center": 0.5, "scale": 2.0}
         )
-        model = build_model(parse_config(raw))
+        model = parse_config(raw).target
         assert model.dim == 2
         assert model.value(np.full(2, 0.5)) == 0.0
 
     def test_ridge_option_penalizes_the_target(self):
         raw = base_config(potential={"name": "quadratic", "dim": 1, "penalty_alpha": 0.5})
-        model = build_model(parse_config(raw))
+        model = parse_config(raw).target
         # the ridge is the guaranteed convexity floor; smoothness adds up
         assert model.profile.alpha == 0.5
         assert model.profile.L == 1.5
@@ -260,10 +287,9 @@ class TestBuildModel:
 
 class TestPrepareRun:
     def test_weak_method_on_a_quadratic_is_a_config_error(self):
-        cfg = parse_config(base_config(method="weak_i", epsilon=0.2))
         with pytest.raises(ConfigError) as err:
-            prepare_run(cfg)
-        assert err.value.field == "c_lower"
+            prepare_run(parse_config(base_config(method="weak_i", epsilon=0.2)))
+        assert err.value.field == "method"
 
     def test_single_level_plans_one_level(self):
         cfg = parse_config(base_config(method="single_level", epsilon=0.5))
@@ -286,7 +312,7 @@ class TestPrepareRun:
         cfg = parse_config(base_config(epsilon=0.3))
         setup = prepare_run(cfg)
         assert setup.plan is not None
-        assert setup.sim_model is not setup.target
+        assert setup.sim_model is not cfg.target
         assert setup.sim_model.profile.alpha == pytest.approx(setup.plan.alpha)
 
 
@@ -371,7 +397,7 @@ class TestDiagCommand:
     def test_unknown_suite_is_a_config_exit(self, capsys):
         assert cmd_diag("nonsense", 0) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize("value", ["abc", "-1", " 7", "+7", "\u0667", "7_0"])
     def test_malformed_environment_seed_is_a_config_exit(self, value, monkeypatch, capsys):
         monkeypatch.setenv("MLGIBBS_SEED", value)
         assert main(["diag", "moments"]) == EXIT_CONFIG
@@ -508,12 +534,30 @@ class TestMainEntry:
         assert captured.err.startswith("config error: ")
         assert captured.err.endswith("(field: f)\n")
 
+    @pytest.mark.parametrize("mutation, field", INVALID_IN_RANGE)
+    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep"])
+    def test_an_out_of_range_field_exits_two_before_any_work(
+        self, command, mutation, field, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("calibrated or ran the oracle despite an invalid config")
+
+        monkeypatch.setattr(cli, "prepare_run", never)
+        monkeypatch.setattr(cli, "reference_for", never)
+        raw = base_config(epsilons=[0.8, 0.4, 0.2], **mutation)
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.endswith(f"(field: {field})\n")
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_the_reference_is_built_once_per_command(
         self, command, tmp_path, monkeypatch, capsys
     ):
         # the target, f, sigma and seed do not depend on epsilon; calibration
-        # and simulation do
+        # and simulation do, and the target is built as the config is parsed
         calls = {}
 
         def counted(name):
@@ -525,8 +569,8 @@ class TestMainEntry:
 
             return wrapper
 
-        names = ("prepare_run", "reference_for", "fourth_moment_reference",
-                 "run_mse_experiment")
+        names = ("make_quadratic", "prepare_run", "reference_for",
+                 "fourth_moment_reference", "run_mse_experiment")
         for name in names:
             monkeypatch.setattr(cli, name, counted(name))
         raw = base_config(replicates=5)
@@ -537,6 +581,7 @@ class TestMainEntry:
         assert main([command, "--config", path]) == EXIT_OK
         n_eps = 3 if command == "sweep" else 1
         assert calls == {
+            "make_quadratic": 1,
             "prepare_run": n_eps,
             "reference_for": 1,
             "fourth_moment_reference": n_eps,
@@ -623,7 +668,7 @@ class TestMainEntry:
         assert captured.out == ""
         assert f"above the budget of {total - 1}" in captured.err
 
-    @pytest.mark.parametrize("value", ["0", "-5", "1e9", "many"])
+    @pytest.mark.parametrize("value", ["0", "-5", "1e9", "many", "\u0663" + "\u0660" * 6])
     def test_max_grad_evals_must_be_a_positive_integer(self, value, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         with pytest.raises(SystemExit) as err:
