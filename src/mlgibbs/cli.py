@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,10 +129,10 @@ def _need(raw: dict, key: str):
     return raw[key]
 
 
-def _checked(field: str, check: Callable, *args):
-    """check(*args), with its InvalidParameterError reported against field."""
+def _checked(field: str, check: Callable, *args, **kwargs):
+    """check(*args, **kwargs), with its InvalidParameterError reported against field."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), field=field) from None
 
@@ -378,9 +378,10 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
     schedule = build_schedule(
         schedule.gamma[0],
         [config.safety_T_multiplier * t for t in schedule.T],
-        tau=config.tau,
         rho=schedule.rho,
     )
+    # the horizons depend on epsilon, so tau is checked against them only here
+    schedule = _checked("tau", replace, schedule, tau=config.tau)
     return RunSetup(
         sim_model=sim_model,
         schedule=schedule,

@@ -13,11 +13,12 @@ The drivers are plain numpy, so a rerun gives the same bytes in every
 environment.  The loop is bound by the per-call overhead of numpy on small
 arrays, so it keeps the number of calls per step low without changing a
 single float operation.  Each lane's Gaussians are drawn straight into its
-row of the (R, count, d) chunk buffer, and the chunk is scaled once, in
-place.  At each block boundary one call copies the block's vectors into a
-reused step-major buffer of shape (draws * _BLOCK, R, d), moving each d-vector
-as one opaque 8d-byte element, so a step adds one contiguous (R, d) slab
-instead of rows a chunk apart; memory is the chunk plus that one block buffer.
+row of the (R, count, d) chunk buffer.  At each block boundary one call
+copies the block's vectors into a reused step-major buffer of shape
+(draws * _BLOCK, R, d), moving each d-vector as one opaque 8d-byte element,
+and one more scales that block in place while it is in cache, so a step adds
+one contiguous (R, d) slab instead of rows a chunk apart; memory is the chunk
+plus that one block buffer.
 Each step writes its state into the next slot of a small trajectory buffer,
 and the recorder reads the block's slots in one call: the window sums
 evaluate the observable on the slots past burn-in and add its values with
@@ -120,7 +121,7 @@ def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
     step(x, y, noise, k) writes the successor of x into y.  noise is the
     current block, step-major: the (R, d) slabs noise[draws * k] to
     noise[draws * (k + 1) - 1] are the step's draws for every lane, already
-    scaled, and k counts steps from the start of the block.
+    multiplied by scale, and k counts steps from the start of the block.
     record(traj, k, b) runs after each block of b steps from grid point k:
     slot 0 of traj holds the state at k and slot i + 1 the state at k + i + 1.
     """
@@ -137,12 +138,11 @@ def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
     k0 = 0
     while k0 < n_steps:
         n = min(chunk, n_steps - k0)
-        noise = _draw_chunk(streams, draws * n)
-        noise *= scale
-        noise_vecs = noise.view(vec)[..., 0]
+        noise_vecs = _draw_chunk(streams, draws * n).view(vec)[..., 0]
         for b0 in range(0, n, _BLOCK):
             b = min(_BLOCK, n - b0)
             block_vecs[:draws * b] = noise_vecs[:, draws * b0:draws * (b0 + b)].T
+            block[:draws * b] *= scale
             for i in range(b):
                 step(slots[i], slots[i + 1], block, i)
             record(traj, k0 + b0, b)

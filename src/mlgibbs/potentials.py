@@ -11,7 +11,8 @@ is the Gibbs measure with density proportional to exp(-2 U(x) / sigma^2).
 Value and gradient maps are vectorized: they accept arrays of shape (..., d)
 and return shapes (...) and (..., d) respectively, so batches of points can be
 evaluated in one call.  Every |x|^2 row sum in the package goes through
-_sum_sq, which gives the bits of np.add.reduce(x * x, axis=-1).
+_row_sums, most through _sum_sq, and gives the bits of
+np.add.reduce(x * x, axis=-1).
 """
 
 from __future__ import annotations
@@ -158,7 +159,12 @@ class PotentialModel:
 
 
 def _sum_sq(x: np.ndarray):
-    """Sum of x * x over the last axis, bit for bit np.add.reduce(x * x, axis=-1).
+    """Sum of x * x over the last axis, bit for bit np.add.reduce(x * x, axis=-1)."""
+    return _row_sums(x * x)
+
+
+def _row_sums(xx: np.ndarray):
+    """Sum of xx over the last axis, bit for bit np.add.reduce(xx, axis=-1).
 
     numpy's reduce adds fewer than 8 float64 terms strictly left to right, one
     inner loop per row; adding whole columns in the same order gives the same
@@ -167,7 +173,6 @@ def _sum_sq(x: np.ndarray):
     1-D input gives a numpy scalar, as the reduce does.
     """
 
-    xx = x * x
     d = xx.shape[-1]
     if xx.dtype != np.float64 or not 0 < d < 8:
         return np.add.reduce(xx, axis=-1)
@@ -248,8 +253,17 @@ def make_power(dim: int, p: float) -> PotentialModel:
         return (1.0 + _sum_sq(x)) ** p
 
     def gradient(x):
-        w = 2.0 * p * (1.0 + _sum_sq(x)) ** (p - 1.0)
-        return w[..., np.newaxis] * x
+        # the bits of (2p (1 + |x|^2)^(p-1)) x, built in the squares' buffer:
+        # IEEE + and * commute, so w + 1.0 and w * 2p are 1.0 + w and 2p * w,
+        # and the last multiply is same-shape rather than a row broadcast
+        g = x * x
+        w = _row_sums(g)
+        w += 1.0
+        w **= p - 1.0
+        w *= 2.0 * p
+        g[...] = w[..., np.newaxis]
+        g *= x
+        return g
 
     profile = ConvexityProfile(
         kind=Convexity.PARAMETRIC_TWO_SIDED,

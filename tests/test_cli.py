@@ -552,6 +552,24 @@ class TestMainEntry:
         assert captured.err.startswith("config error: ")
         assert captured.err.endswith(f"(field: {field})\n")
 
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    def test_tau_beyond_the_shortest_horizon_names_its_field(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # the horizons depend on epsilon, so this is found while calibrating
+        def never(*args, **kwargs):
+            raise AssertionError("ran the oracle despite an invalid tau")
+
+        monkeypatch.setattr(cli, "reference_for", never)
+        raw = base_config(method="single_level", epsilon=0.5, tau=1e6)
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: tau=1000000.0 must lie in [0, min_j T[j]) (field: tau)\n"
+        )
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_the_reference_is_built_once_per_command(
         self, command, tmp_path, monkeypatch, capsys

@@ -318,6 +318,63 @@ def test_penalized_gradient_has_the_bits_of_the_sum(make_base, d):
             assert got is not x and not np.shares_memory(got, x)
 
 
+# make_power's gradient squares x into a buffer it owns, turns the row sums
+# into the weight in place and multiplies the buffer by x; IEEE + and *
+# commute, so it must keep the bits of the formula below.  d runs over both
+# branches of the row sum (columns below 8, the reduce from 8 on).  Infinite
+# entries make 0 * inf = NaN for p < 1, compared by isnan.
+_POWER_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.2e-308, 1e150, -1e150, 1e-150, -1e-150,
+     np.inf, -np.inf]
+)
+
+
+def _power_formula(x, p):
+    return (2.0 * p * (1.0 + np.add.reduce(x * x, axis=-1)) ** (p - 1.0))[..., None] * x
+
+
+def _power_points(d):
+    rng = np.random.default_rng(70 + d)
+    for shape in [(d,), (1, d), (100, d), (2, 50, d)]:
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+        special = x.copy()
+        mask = rng.random(shape) < 0.3
+        special[mask] = rng.choice(_POWER_VALUES, size=int(mask.sum()))
+        yield from (x, special)
+    for v in _POWER_VALUES:
+        yield np.full(d, v)
+        yield np.full((1, d), v)
+
+
+def _same_bits_or_nan(got, want):
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and _same_bits(got[~nan], want[~nan])
+    )
+
+
+@pytest.mark.parametrize("p", [0.51, 0.75, 1.0])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_power_gradient_has_the_bits_of_the_formula(d, p):
+    power = make_power(d, p)
+    alpha = 0.37
+    ridged = penalize(power, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _power_points(d):
+            kept = x.copy()
+            want = _power_formula(x, p)
+            for got, expected in (
+                (power.gradient_fn(x), want),
+                (ridged.gradient_fn(x), want + alpha * x),
+            ):
+                assert type(got) is np.ndarray and got.dtype == np.float64
+                assert _same_bits_or_nan(got, expected), (x.shape, x)
+                assert not np.shares_memory(got, x)
+                assert _same_bits(x, kept)
+
+
 # make_quadratic's gradient is its input when every center entry is +0.0 and
 # the scale is 1.0, for x - (+0.0) and x * 1.0 are x bit for bit.  -0.0 keeps
 # the formula: -0.0 - (-0.0) is +0.0, so a rule by value (center == 0) fails
