@@ -216,12 +216,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     epsilons = None
     if "epsilons" in raw:
         eps_list = raw["epsilons"]
-        if not isinstance(eps_list, list) or len(eps_list) < 3:
+        if isinstance(eps_list, list):
+            epsilons = tuple(_positive_real(e, "epsilons") for e in eps_list)
+        if not isinstance(eps_list, list) or len(set(epsilons)) < max(3, len(epsilons)):
             raise ConfigError(
-                "config field 'epsilons' must be a list of at least 3 values",
+                "config field 'epsilons' must be a list of at least 3 distinct values",
                 field="epsilons",
             )
-        epsilons = tuple(_positive_real(e, "epsilons") for e in eps_list)
     epsilon = None
     if "epsilon" in raw:
         epsilon = _positive_real(raw["epsilon"], "epsilon")
@@ -247,6 +248,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     # the invariant density exp(-2 U / sigma^2) needs a usable sigma^2
     _checked("sigma", _check_positive, "sigma^2", sigma * sigma)
     dim = _int_at_least(pot.get("dim", 1), "potential.dim", 1)
+    try:
+        np.empty(dim)  # numpy refuses a point it cannot describe or allocate
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(
+            f"config field 'potential.dim' is too large: {exc}", field="potential.dim"
+        ) from None
 
     if name == "quadratic":
         center = pot.get("center", 0.0)
@@ -544,6 +551,17 @@ def _budget(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+        _check_positive("--assert-eps", value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        ) from None
+    return value
+
+
 def _parse_args(argv: Optional[Sequence[str]]):
     parser = argparse.ArgumentParser(
         prog="mlgibbs",
@@ -557,7 +575,7 @@ def _parse_args(argv: Optional[Sequence[str]]):
         if name == "run":
             p.add_argument(
                 "--assert-eps",
-                type=float,
+                type=_tolerance,
                 default=None,
                 help="exit 4 unless rmse <= epsilon * this tolerance",
             )

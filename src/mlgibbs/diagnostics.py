@@ -3,9 +3,9 @@
 Ground truth for tests comes from three sources, in order of preference:
 closed-form Gaussian moments for quadratic potentials (with or without a
 ridge), adaptive quadrature of the unnormalized density for one-dimensional
-or radially reducible cases, and a long single-chain run with batch-means
-error bars when neither applies.  Every Monte Carlo quantity here carries a
-standard error and comparisons are made at stated multiples of it.
+or radially reducible cases, and 32 long independent chains with a standard
+error over those lanes when neither applies.  Every Monte Carlo quantity here
+carries a standard error and comparisons are made at stated multiples of it.
 
 Bounds proven for the continuous-time process are probed through fine-step
 Euler proxies; SLACK_FRACTION is the slack multiplier those probes add.
@@ -39,7 +39,7 @@ from .errors import (
     NumericalOverflowError,
     OracleFailureError,
 )
-from .estimator import STREAM_LEVEL_SPAN, BatchResult, run_replicates
+from .estimator import STREAM_LEVEL_SPAN, BatchResult, run_replicates, stream_id_for
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
 from .potentials import FAMILY_QUADRATIC, PotentialModel, _as_point, _sum_sq, penalize
 
@@ -72,6 +72,7 @@ SLACK_FRACTION = 0.25
 """Slack multiplier for continuous-time bounds probed with Euler proxies."""
 
 _TRUNCATION = 1e-16
+_ORACLE_LANES = 32  # independent chains of the long-run oracle
 _MAX_FAILED_FRACTION = 0.01
 
 MSE_CSV_HEADER = (
@@ -85,8 +86,8 @@ class ReferenceValue:
     """A ground-truth expectation with its error bound.
 
     method is one of closed_form, quadrature_1d, long_run_oracle.  For the
-    long-run oracle error_estimate is one batch-means standard error, a
-    statistical figure rather than a hard bound.
+    long-run oracle error_estimate is one standard error over 32 independent
+    lanes, a statistical figure rather than a hard bound.
     """
 
     value: float
@@ -335,19 +336,15 @@ def fourth_moment_reference(
 
 
 def long_run_reference(
-    model: PotentialModel,
-    f: Callable,
-    sigma: float,
-    seed: int,
-    n_batches: int = 32,
+    model: PotentialModel, f: Callable, sigma: float, seed: int
 ) -> ReferenceValue:
-    """Single long chain with batch-means error bars.  Statistical oracle.
+    """32 independent chains in one driver call.  Statistical oracle.
 
-    Runs one path at a sixty-fourth of the admissible step for 1e5 times
-    that step's bound, discards the first tenth, and averages f over
-    n_batches equal batches.  error_estimate is one standard error of the
-    batch means.  Stream id 0 under the given seed, which is also the stream
-    of replicate 0, level 0 of a run under that seed; starts at the minimizer.
+    Each lane starts at the minimizer and steps at a sixty-fourth of the
+    admissible step for 1e5 times that bound.  It burns in for a tenth of the
+    horizon and averages f over a 32nd of the rest.  value and error_estimate
+    are the mean and the standard error of the 32 lane means.  Lane k reads
+    stream_id_for(k, STREAM_LEVEL_SPAN - 1) under seed.
     """
 
     _check_positive("sigma", sigma)
@@ -355,27 +352,21 @@ def long_run_reference(
     gamma = bound / 64.0
     n_total = grid_count_up(1e5 * bound, gamma)
     n_burn = n_total // 10
-    batch_len = (n_total - n_burn) // n_batches
-    if batch_len < 2:
+    n_keep = (n_total - n_burn) // _ORACLE_LANES
+    if n_keep < 2:
         raise OracleFailureError("long-run oracle horizon too short to batch")
 
-    streams = engine.make_streams(seed, [0], model.dim)
-    pos = model.minimizer
-    _, ok, pos = engine.occupation_sums(
-        model, f, pos, gamma, sigma, n_burn, 0, streams
+    # no run reads this level: LevelSchedule's gamma0 * 2**-j > 0 keeps J < 2100
+    ids = [stream_id_for(k, STREAM_LEVEL_SPAN - 1) for k in range(_ORACLE_LANES)]
+    acc, ok, _ = engine.occupation_sums(
+        model, f, model.minimizer, gamma, sigma, n_burn + n_keep, n_burn,
+        engine.make_streams(seed, ids, model.dim),
     )
-    if not ok[0]:
-        raise OracleFailureError("long-run oracle chain diverged during warm-up")
-    means = np.empty(n_batches)
-    for b in range(n_batches):
-        acc, ok, pos = engine.occupation_sums(
-            model, f, pos[0], gamma, sigma, batch_len, 0, streams
-        )
-        if not ok[0]:
-            raise OracleFailureError(f"long-run oracle chain diverged in batch {b}")
-        means[b] = acc[0] / batch_len
+    if not ok.all():
+        raise OracleFailureError("long-run oracle chain diverged")
+    means = acc / n_keep
     value = float(np.mean(means))
-    se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
+    se = float(np.std(means, ddof=1) / math.sqrt(_ORACLE_LANES))
     return ReferenceValue(value=value, method="long_run_oracle", error_estimate=se)
 
 

@@ -94,6 +94,7 @@ class TestParseConfig:
             ({"tau": True}, "tau"),
             ({"sigma": 10**400}, "sigma"),
             ({"epsilons": [0.4, 0.2]}, "epsilons"),
+            ({"epsilons": [0.5, 0.5, 0.5]}, "epsilons"),
             ({"method": "single_level", "gamma0": 0.0}, "gamma0"),
             ({"potential": {"name": "quadratic", "dim": 1, "p": 0.75}}, "potential.p"),
             (
@@ -231,6 +232,17 @@ class TestBuildModel:
             parse_config(raw)
         assert err.value.field == "potential.dim"
 
+    # numpy refuses both lengths before it allocates: 8 PiB, and beyond intp
+    @pytest.mark.parametrize("dim", [10**15, 10**20])
+    @pytest.mark.parametrize("potential", [{"name": "quadratic"}, POWER])
+    def test_a_dim_numpy_cannot_hold_is_a_config_exit(self, potential, dim, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(potential=dict(potential, dim=dim)))
+        assert main(["calibrate", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config field 'potential.dim'")
+        assert captured.err.endswith("(field: potential.dim)\n")
+
     @pytest.mark.parametrize(
         "name, field, value",
         [
@@ -365,6 +377,16 @@ class TestRunCommand:
         assert cmd_run(self.run_cfg(), assert_eps=50.0) == EXIT_OK
         capsys.readouterr()
         assert cmd_run(self.run_cfg(), assert_eps=1e-9) == EXIT_EPS_ASSERT
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_assert_eps_must_be_positive_and_finite(self, value, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--config", path, "--assert-eps", value])
+        assert err.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--assert-eps" in captured.err
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "row.csv"

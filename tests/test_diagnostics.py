@@ -6,11 +6,13 @@ import pytest
 from mlgibbs import (
     InvalidParameterError,
     MseReport,
+    OracleFailureError,
     ReferenceValue,
     build_schedule,
     calibrate_penalized,
     confluence_curve,
     coordinate,
+    engine,
     euclidean_norm,
     fourth_moment_reference,
     fourth_norm,
@@ -34,6 +36,13 @@ from mlgibbs.diagnostics import (
     mse_csv_row,
     quadratic_confluence_theory,
 )
+from mlgibbs.estimator import STREAM_LEVEL_SPAN, stream_id_for
+
+
+@pytest.fixture(scope="module")
+def power1_oracle():
+    """The long-run oracle of E|X|^2 on the power1 target, computed once."""
+    return long_run_reference(make_power(1, 0.75), squared_norm, 1.0, seed=0)
 
 
 class TestReferenceValue:
@@ -115,6 +124,51 @@ class TestLongRunReference:
         ref = long_run_reference(power1, squared_norm, 1.0, seed=0)
         assert ref.method == "long_run_oracle"
         assert ref.error_estimate > 0.0
+
+    def test_lane_oracle_agrees_with_quadrature(self, power1, power1_oracle):
+        exact = reference_for(power1, squared_norm, 1.0)
+        assert exact.method == "quadrature_1d"
+        assert abs(power1_oracle.value - exact.value) <= 4.0 * power1_oracle.error_estimate
+
+    def test_rerun_is_bitwise_identical(self, power1, power1_oracle):
+        again = long_run_reference(power1, squared_norm, 1.0, seed=0)
+        assert again.value.hex() == power1_oracle.value.hex()
+        assert again.error_estimate.hex() == power1_oracle.error_estimate.hex()
+
+    def test_one_driver_call_on_streams_no_run_reads(self, power1, monkeypatch):
+        ids, calls = [], []
+        make_streams = engine.make_streams
+
+        def recording(seed, stream_ids, dim):
+            ids.extend(stream_ids)
+            return make_streams(seed, stream_ids, dim)
+
+        def driver(model, f, x0, gamma, sigma, n_steps, n_burn, streams):
+            calls.append((len(streams), n_burn, n_steps - n_burn))
+            lanes = len(streams)
+            return np.arange(lanes, dtype=float), np.ones(lanes, dtype=bool), None
+
+        monkeypatch.setattr(engine, "make_streams", recording)
+        monkeypatch.setattr(engine, "occupation_sums", driver)
+        long_run_reference(power1, squared_norm, 1.0, seed=0)
+        # a tenth of 6.4M steps burned, the rest split over the 32 lanes
+        assert calls == [(32, 640_000, 180_000)]
+        assert len(set(ids)) == 32
+        # stream_id_for(r, j) = r * STREAM_LEVEL_SPAN + j, so these are the
+        # ids of no (replicate, level) pair with j < STREAM_LEVEL_SPAN - 1
+        assert all(sid % STREAM_LEVEL_SPAN == STREAM_LEVEL_SPAN - 1 for sid in ids)
+        run_ids = {stream_id_for(r, j) for r in range(64) for j in range(64)}
+        assert run_ids.isdisjoint(ids)
+
+    def test_a_diverged_lane_fails_the_oracle(self, power1, monkeypatch):
+        def driver(model, f, x0, gamma, sigma, n_steps, n_burn, streams):
+            ok = np.ones(len(streams), dtype=bool)
+            ok[7] = False
+            return np.zeros(len(streams)), ok, None
+
+        monkeypatch.setattr(engine, "occupation_sums", driver)
+        with pytest.raises(OracleFailureError):
+            long_run_reference(power1, squared_norm, 1.0, seed=0)
 
 
 class TestW1Distance:
