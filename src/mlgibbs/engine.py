@@ -13,8 +13,14 @@ The drivers are plain numpy, so a rerun gives the same bytes in every
 environment.  The loop is bound by the per-call overhead of numpy on small
 arrays, so it keeps the number of calls per step low without changing a
 single float operation.  Each lane's Gaussians are drawn straight into its
-row of the (R, count, d) chunk buffer.  At each block boundary one call
-copies the block's vectors into a reused step-major buffer of shape
+row of the (R, count, d) chunk buffer.  The draws are the one bulk layer,
+and numpy fills them with the GIL released, so the chunk's lanes are split
+into contiguous groups, one per CPU the process may use, when each lane's
+fill is long enough to pay for handing the GIL between threads: the caller
+fills the first group, a thread started and joined within the call fills
+each other one.  A lane is drawn by one thread only, into its own row, so
+the bits do not depend on the number of groups.  At each block boundary
+one call copies the block's vectors into a reused step-major buffer of shape
 (draws * _BLOCK, R, d), moving each d-vector as one opaque 8d-byte element,
 and one more scales that block in place while it is in cache, so a step adds
 one contiguous (R, d) slab instead of rows a chunk apart; memory is the chunk
@@ -31,6 +37,8 @@ acting on each row alone.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from typing import Callable, List, Sequence, Tuple
 
@@ -58,6 +66,16 @@ _CHUNK_MIN = 256
 _CHUNK_MAX = 65536
 # steps per observable call
 _BLOCK = 64
+# lane groups drawn in parallel per noise chunk: one per usable CPU
+_DRAW_GROUPS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+# floats per lane below which a chunk is drawn on the caller alone: each
+# lane's call takes the GIL, and a shorter fill than this does not pay for
+# handing it between threads (on a 2-vCPU machine, 2,000 lanes of 256
+# floats drew 1.8x slower on two threads, of 1,024 floats 1.6x faster)
+_DRAW_SPLIT_MIN = 1024
 
 
 def _chunk_steps(R: int, d: int) -> int:
@@ -69,11 +87,38 @@ def make_streams(seed: int, stream_ids: Sequence[int], dim: int) -> List[NoiseSt
 
 
 def _draw_chunk(streams: List[NoiseStream], count: int) -> np.ndarray:
-    # (R, count, d), each lane drawn straight into its row; per-lane draws
-    # are sequential so chunking is neutral
-    noise = np.empty((len(streams), count, streams[0].dim))
-    for s, row in zip(streams, noise):
-        s.normals(count, row)
+    # (R, count, d), each lane drawn straight into its row by one thread;
+    # per-lane draws are sequential, so neither chunking nor grouping
+    # changes a bit
+    R, d = len(streams), streams[0].dim
+    noise = np.empty((R, count, d))
+    groups = min(_DRAW_GROUPS, R) if count * d >= _DRAW_SPLIT_MIN else 1
+    bounds = [R * g // groups for g in range(groups + 1)]
+    errors = [None] * groups
+
+    def fill(g):
+        lanes = slice(bounds[g], bounds[g + 1])
+        try:
+            for s, row in zip(streams[lanes], noise[lanes]):
+                s.normals(count, row)
+        except BaseException as exc:  # raised in the caller after the join
+            errors[g] = exc
+
+    threads = []
+    for g in range(1, groups):
+        t = threading.Thread(target=fill, args=(g,))
+        try:
+            t.start()
+        except RuntimeError:  # no thread can be started: same rows, same bits
+            fill(g)
+        else:
+            threads.append(t)
+    fill(0)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return noise
 
 

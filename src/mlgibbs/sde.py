@@ -41,7 +41,8 @@ class NoiseStream:
     A stream is fully determined by (seed, stream_id, dim); distinct
     stream_ids under one seed are statistically independent.  The cursor
     counts vectors emitted so far.  Chunked draws are equivalent to repeated
-    single draws, so consumers may batch freely.
+    single draws, so consumers may batch freely.  A stream must be drawn
+    from by one thread at a time: ``cursor += count`` is not atomic.
     """
 
     def __init__(self, seed: int, stream_id: int, dim: int):

@@ -1,6 +1,7 @@
 """Batched lane simulation against the reference single-path routines."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from mlgibbs import (
     InvalidParameterError,
     NoiseStream,
+    build_schedule,
     make_power,
     make_quadratic,
     occupation_average,
     penalize,
+    run_replicates,
     simulate_coupled,
     simulate_path,
     squared_norm,
@@ -409,6 +412,7 @@ class TestObservableProbe:
 
 
 def test_draw_chunk_fills_each_lane_row_with_one_draw(monkeypatch):
+    monkeypatch.setattr(engine, "_DRAW_GROUPS", 1)  # one thread: a global call order
     calls = []
     normals = NoiseStream.normals
 
@@ -423,6 +427,118 @@ def test_draw_chunk_fills_each_lane_row_with_one_draw(monkeypatch):
         assert len(args) == 2 and np.shares_memory(args[1], noise[lane])
     want = np.stack([NoiseStream(5, sid, 2).normals(11) for sid in (0, 3, 8)])
     np.testing.assert_array_equal(noise, want)
+
+
+class TestParallelDraw:
+    """_draw_chunk fills contiguous lane groups on as many threads."""
+
+    @pytest.fixture(autouse=True)
+    def split_any_chunk(self, monkeypatch):
+        monkeypatch.setattr(engine, "_DRAW_SPLIT_MIN", 1)
+
+    @pytest.mark.parametrize("count, d, started", [(1023, 1, 0), (341, 3, 0),
+                                                   (1024, 1, 2), (342, 3, 2)])
+    def test_short_lane_fills_stay_on_the_caller(self, count, d, started, monkeypatch):
+        monkeypatch.setattr(engine, "_DRAW_SPLIT_MIN", 1024)
+        monkeypatch.setattr(engine, "_DRAW_GROUPS", 3)
+        starts = []
+        start = threading.Thread.start
+
+        def counted(self):
+            starts.append(self)
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        noise = engine._draw_chunk(engine.make_streams(2, [0, 1, 2], d), count)
+        assert len(starts) == started
+        want = np.stack([NoiseStream(2, sid, d).normals(count) for sid in range(3)])
+        assert noise.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize("groups", [2, 3, 4])
+    def test_each_lane_row_gets_one_draw_in_any_order(self, groups, monkeypatch):
+        monkeypatch.setattr(engine, "_DRAW_GROUPS", groups)
+        calls = []
+        normals = NoiseStream.normals
+
+        def spy(self, *args):  # positional only: a keyword argument fails here
+            calls.append((self.stream_id, args))
+            return normals(self, *args)
+
+        monkeypatch.setattr(NoiseStream, "normals", spy)
+        ids = [0, 3, 8, 2, 9]
+        noise = engine._draw_chunk(engine.make_streams(5, ids, 2), 11)
+        assert sorted(sid for sid, _ in calls) == sorted(ids)
+        for sid, args in calls:
+            assert len(args) == 2 and args[0] == 11
+            assert np.shares_memory(args[1], noise[ids.index(sid)])
+        want = np.stack([NoiseStream(5, sid, 2).normals(11) for sid in ids])
+        assert noise.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize("groups", [1, 2, 3, 4])
+    @pytest.mark.parametrize("R", [1, 2, 3, 5, 100])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_chunk_bits_do_not_depend_on_the_group_count(self, groups, R, d, monkeypatch):
+        monkeypatch.setattr(engine, "_DRAW_GROUPS", groups)
+        ids = [7 * r + 1 for r in range(R)]
+        threads = threading.active_count()
+        noise = engine._draw_chunk(engine.make_streams(4, ids, d), 13)
+        assert threading.active_count() == threads
+        want = np.stack([NoiseStream(4, sid, d).normals(13) for sid in ids])
+        np.testing.assert_array_equal(noise.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("route", ["penalized", "weak_ii"])
+    def test_level_values_do_not_depend_on_the_group_count(self, route, monkeypatch):
+        if route == "penalized":
+            model = penalize(make_quadratic(1), 0.1)
+            sch = build_schedule(0.1, [8.0, 8.0, 8.0], tau=1.0, rho=0.0)
+        else:
+            model = make_power(3, 0.75)
+            sch = build_schedule(0.05, [6.0, 4.0, 3.0], tau=0.5, rho=0.5)
+        d, ids = model.dim, [0, 1, 2, 5, 6]
+
+        def level_values(groups):
+            monkeypatch.setattr(engine, "_DRAW_GROUPS", groups)
+            return run_replicates(model, squared_norm, sch, 1.0, np.zeros(d), 11,
+                                  ids).level_values.tobytes()
+
+        solo = level_values(1)
+        for groups in (2, 3, 4):
+            assert level_values(groups) == solo
+
+    def test_a_failed_thread_start_draws_on_the_caller(self, monkeypatch):
+        starts = []
+
+        def no_thread(self):
+            starts.append(self)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(engine, "_DRAW_GROUPS", 3)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        # a seed no other test draws, so no freed buffer that np.empty may
+        # hand back already holds these values
+        ids = [4, 1, 7, 6, 5]
+        noise = engine._draw_chunk(engine.make_streams(13, ids, 2), 11)
+        assert len(starts) == 2
+        want = np.stack([NoiseStream(13, sid, 2).normals(11) for sid in ids])
+        assert noise.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    def test_an_error_in_a_worker_group_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(engine, "_DRAW_GROUPS", 2)
+        normals = NoiseStream.normals
+
+        def failing(self, *args):
+            if self.stream_id == 3:  # the last lane: group 1, off the caller
+                raise MemoryError("stream 3")
+            return normals(self, *args)
+
+        monkeypatch.setattr(NoiseStream, "normals", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="stream 3"):
+            engine._draw_chunk(engine.make_streams(5, [0, 1, 2, 3], 1), 4)
+        with pytest.raises(MemoryError, match="stream 3"):
+            engine.occupation_sums(make_quadratic(1), squared_norm, np.zeros(1), 0.1,
+                                   1.0, 10, 0, engine.make_streams(5, [0, 1, 2, 3], 1))
+        assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("draws", [1, 2])
