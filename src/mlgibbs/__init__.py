@@ -47,10 +47,8 @@ from .errors import (
     OracleFailureError,
 )
 from .estimator import (
-    EstimatorOutput,
     cost_of,
     gaussians_of,
-    multilevel_estimate,
     run_replicates,
 )
 from .observables import (
@@ -88,7 +86,6 @@ __all__ = [
     "ConvexityProfile",
     "ConvergenceError",
     "CoupledPathState",
-    "EstimatorOutput",
     "InfeasibleCalibrationError",
     "InvalidParameterError",
     "LevelSchedule",
@@ -123,7 +120,6 @@ __all__ = [
     "make_power",
     "make_quadratic",
     "moment_envelope_check",
-    "multilevel_estimate",
     "occupation_average",
     "parse_observable",
     "penalization_bias_bounds",

@@ -52,7 +52,6 @@ class RegimeConstants:
 
     gamma_star: float
     psi_bar: float
-    c_r: float = 1.0
 
 
 def _check_positive(name: str, value: float):
@@ -162,7 +161,7 @@ def regime_constants(
         raise InvalidParameterError(
             f"computed moment scale {psi_bar} is below the dimension or not finite"
         )
-    return RegimeConstants(gamma_star=step_bound(profile), psi_bar=psi_bar, c_r=c_r)
+    return RegimeConstants(gamma_star=step_bound(profile), psi_bar=psi_bar)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ seed (the MLGIBBS_SEED environment variable overrides it), and output is
 deterministic byte for byte.
 
 Exit codes: 0 success, 1 failed diagnostic or overflow, 2 invalid config,
-3 infeasible calibration or a run over its gradient-evaluation budget,
-4 accuracy assertion failed, 5 reference oracle failure.
+3 infeasible calibration (a failed minimizer search included) or a run over
+its gradient-evaluation budget, 4 accuracy assertion failed, 5 reference
+oracle failure.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .diagnostics import (
 )
 from .errors import (
     ConfigError,
+    ConvergenceError,
     InfeasibleCalibrationError,
     InvalidParameterError,
     NumericalOverflowError,
@@ -479,7 +481,6 @@ def run_ladder(
             reference,
             config.replicates,
             config.seed,
-            epsilon_target=setup.epsilon,
         )
         if report.n_failed:
             print(f"dropped {report.n_failed} of {config.replicates} replicate lanes: "
@@ -609,7 +610,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"config error: {exc}{field}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasibleCalibrationError as exc:
+    except (InfeasibleCalibrationError, ConvergenceError) as exc:
         print(f"infeasible calibration: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except OracleFailureError as exc:

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from . import engine
 from .calibration import (
     LevelSchedule,
-    PenalizedPlan,
     _check_positive,
     _check_step_size,
     decreasing_penalization_gap,
@@ -72,6 +71,8 @@ SLACK_FRACTION = 0.25
 """Slack multiplier for continuous-time bounds probed with Euler proxies."""
 
 _TRUNCATION = 1e-16
+_QUAD_EPSREL = 1e-10  # relative tolerance of every quadrature oracle
+_W1_REL_TOL = 1e-8  # w1_distance_1d stops doubling its grid at this relative change
 _ORACLE_LANES = 32  # independent chains of the long-run oracle
 _MAX_FAILED_FRACTION = 0.01
 
@@ -116,7 +117,6 @@ class MseReport:
     bias: float
     rmse: float
     mean_cost: float
-    epsilon_target: float
     n_failed: int = 0
 
     def decomposition_residual(self) -> float:
@@ -207,13 +207,13 @@ def _bracket(g: Callable, center: float, one_sided: bool = False) -> Tuple[float
     raise OracleFailureError("could not truncate the integration domain")
 
 
-def _quad(g: Callable, a: float, b: float, epsrel: float) -> Tuple[float, float]:
+def _quad(g: Callable, a: float, b: float) -> Tuple[float, float]:
     from .quadpack import MESSAGES, qags
 
     # absolute floor keeps integrals of odd functions (true value 0)
     # convergent, where a pure relative tolerance can never be met; the
     # bounds may be numpy scalars, and QAGS must see Python floats
-    val, err, ier = qags(g, float(a), float(b), 0.01 * epsrel, epsrel, 500)
+    val, err, ier = qags(g, float(a), float(b), 0.01 * _QUAD_EPSREL, _QUAD_EPSREL, 500)
     if ier != 0:
         raise OracleFailureError(f"quadrature did not converge: {MESSAGES[ier]} (ier={ier})")
     if not (math.isfinite(val) and math.isfinite(err)):
@@ -226,7 +226,6 @@ def _quadrature_ratio(
     sigma: float,
     f: Callable,
     f_at: Callable,
-    epsrel: float,
     radial: bool = False,
 ) -> ReferenceValue:
     """The mean of f under _weight, quad(f w) / quad(w), with its error bound.
@@ -242,8 +241,8 @@ def _quadrature_ratio(
     a, b = _bracket(
         lambda xs: (1.0 + np.abs(f(xs))) * w(xs), float(model.minimizer[0]), radial
     )
-    num, err_n = _quad(lambda x: float(f_at(x) * w([x])[0]), a, b, epsrel)
-    den, err_d = _quad(lambda x: float(w([x])[0]), a, b, epsrel)
+    num, err_n = _quad(lambda x: float(f_at(x) * w([x])[0]), a, b)
+    den, err_d = _quad(lambda x: float(w([x])[0]), a, b)
     if den <= 0.0:
         raise OracleFailureError("density normalizer integrated to a nonpositive value")
     value = num / den
@@ -251,9 +250,7 @@ def _quadrature_ratio(
     return ReferenceValue(value=value, method="quadrature_1d", error_estimate=err)
 
 
-def reference_moment(
-    model: PotentialModel, sigma: float, f: Callable, epsrel: float = 1e-10
-) -> ReferenceValue:
+def reference_moment(model: PotentialModel, sigma: float, f: Callable) -> ReferenceValue:
     """Stationary expectation of f for a one-dimensional model by quadrature.
 
     Integrates f(x) exp(-2 U(x) / sigma^2) against the matching normalizer
@@ -266,15 +263,13 @@ def reference_moment(
         raise InvalidParameterError("reference_moment needs a one-dimensional model")
     _check_positive("sigma", sigma)
     fv = _scalar_observable(f)
-    return _quadrature_ratio(model, sigma, fv, lambda x: fv([x])[0], epsrel)
+    return _quadrature_ratio(model, sigma, fv, lambda x: fv([x])[0])
 
 
-def _radial_moment(
-    model: PotentialModel, sigma: float, power: int, epsrel: float = 1e-10
-) -> ReferenceValue:
+def _radial_moment(model: PotentialModel, sigma: float, power: int) -> ReferenceValue:
     """E |X|^power for a radially symmetric model via a radial integral."""
     return _quadrature_ratio(
-        model, sigma, lambda rs: rs**power, lambda r: r**power, epsrel, radial=True
+        model, sigma, lambda rs: rs**power, lambda r: r**power, radial=True
     )
 
 
@@ -370,17 +365,12 @@ def long_run_reference(
     return ReferenceValue(value=value, method="long_run_oracle", error_estimate=se)
 
 
-def w1_distance_1d(
-    model_a: PotentialModel,
-    model_b: PotentialModel,
-    sigma: float,
-    rel_tol: float = 1e-8,
-) -> float:
+def w1_distance_1d(model_a: PotentialModel, model_b: PotentialModel, sigma: float) -> float:
     """1-Wasserstein distance between two one-dimensional Gibbs laws.
 
     Integrates |F_A - F_B| over a shared truncated domain with both CDFs
     from normalized trapezoid integration, doubling the grid until the
-    value stabilizes to rel_tol.
+    value changes by at most _W1_REL_TOL of max(1, value).
     """
 
     if model_a.dim != 1 or model_b.dim != 1:
@@ -399,7 +389,7 @@ def w1_distance_1d(
         fa = _normalized_cdf(wa, xs)
         fb = _normalized_cdf(wb, xs)
         w1 = float(np.trapezoid(np.abs(fa - fb), xs))
-        if prev is not None and abs(w1 - prev) <= rel_tol * max(1.0, abs(w1)):
+        if prev is not None and abs(w1 - prev) <= _W1_REL_TOL * max(1.0, abs(w1)):
             return w1
         prev = w1
         n *= 2
@@ -430,36 +420,22 @@ def _surviving_lanes(batch: BatchResult, what: str) -> np.ndarray:
 def run_mse_experiment(
     model: PotentialModel,
     f: Callable,
-    schedule_or_plan: Union[LevelSchedule, PenalizedPlan],
+    schedule: LevelSchedule,
     sigma: float,
     reference: ReferenceValue,
     R: int,
     seed: int,
-    epsilon_target: Optional[float] = None,
-    replicate_ids: Optional[Sequence[int]] = None,
 ) -> MseReport:
-    """Replicated estimator runs summarized against a reference value.
+    """R replicated estimator runs, ids range(R), summarized against a
+    reference value.
 
     Lanes whose paths overflow are dropped from the summary; more than 1%
-    of them failing aborts the experiment.  replicate_ids overrides the
-    default ids range(R), which lets a test force duplicate noise streams.
+    of them failing aborts the experiment.
     """
 
     if R < 2:
         raise InvalidParameterError(f"need at least 2 replicates, got {R}")
-    if isinstance(schedule_or_plan, PenalizedPlan):
-        schedule = schedule_or_plan.schedule
-        if epsilon_target is None:
-            epsilon_target = schedule_or_plan.epsilon
-    else:
-        schedule = schedule_or_plan
-    if epsilon_target is None:
-        raise InvalidParameterError("epsilon_target required with a bare schedule")
-    ids = list(replicate_ids) if replicate_ids is not None else list(range(R))
-    if len(ids) != R:
-        raise InvalidParameterError("replicate_ids length must equal R")
-
-    batch = run_replicates(model, f, schedule, sigma, model.minimizer, seed, ids)
+    batch = run_replicates(model, f, schedule, sigma, model.minimizer, seed, range(R))
     values = batch.values[_surviving_lanes(batch, "experiment")]
     n_ok = values.size
     mean = float(np.mean(values))
@@ -473,7 +449,6 @@ def run_mse_experiment(
         bias=bias,
         rmse=rmse,
         mean_cost=float(batch.gradient_evals),
-        epsilon_target=float(epsilon_target),
         n_failed=R - n_ok,
     )
 
@@ -548,7 +523,7 @@ def strong_error_curve(
     for i, gamma in enumerate(gammas):
         n = _probe_steps(model, sigma, gamma, horizon, R)
         streams = engine.make_streams(
-            seed, [i * STREAM_LEVEL_SPAN + lane for lane in range(R)], model.dim
+            seed, [stream_id_for(i, lane) for lane in range(R)], model.dim
         )
         # only the terminal positions are used, so a burn of n - 1 skips
         # summing the observable at every step but the last
@@ -674,7 +649,6 @@ class LevelVarianceProfile:
 
     levels: Tuple[Tuple[int, float, float, float], ...]
     correlations: np.ndarray
-    total_variance: float
     replicates: int
 
     @property
@@ -718,7 +692,6 @@ def level_variance_profile(
     return LevelVarianceProfile(
         levels=levels,
         correlations=corr,
-        total_variance=float(np.var(batch.values[ok], ddof=1)),
         replicates=int(ok.sum()),
     )
 

@@ -8,14 +8,12 @@ class InvalidParameterError(ValueError):
 class NumericalOverflowError(ArithmeticError):
     """A simulated path left the representable float range.
 
-    ``step_index`` names the first offending Euler step when known;
-    ``level`` names the estimator level for multilevel runs.
+    ``step_index`` names the first offending Euler step when known.
     """
 
-    def __init__(self, message, step_index=None, level=None):
+    def __init__(self, message, step_index=None):
         super().__init__(message)
         self.step_index = step_index
-        self.level = level
 
 
 class ConvergenceError(RuntimeError):

@@ -19,25 +19,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from . import engine
 from .calibration import LevelSchedule, _check_positive, _check_step_size, _coarse_grids
-from .errors import InvalidParameterError, NumericalOverflowError
+from .errors import InvalidParameterError
 from .potentials import PotentialModel, _as_point
 
 __all__ = [
     "STREAM_LEVEL_SPAN",
-    "EstimatorOutput",
     "BatchResult",
     "LevelJob",
     "level_jobs",
     "stream_id_for",
     "cost_of",
     "gaussians_of",
-    "multilevel_estimate",
     "run_replicates",
 ]
 
@@ -53,16 +51,6 @@ def stream_id_for(replicate_id: int, level: int) -> int:
     if level >= STREAM_LEVEL_SPAN:
         raise InvalidParameterError(f"level {level} exceeds the stream id span")
     return replicate_id * STREAM_LEVEL_SPAN + level
-
-
-@dataclass(frozen=True)
-class EstimatorOutput:
-    """One multilevel estimate with its exact simulation cost."""
-
-    value: float
-    level_values: Tuple[float, ...]
-    gradient_evals: int
-    gaussians_drawn: int
 
 
 @dataclass(frozen=True)
@@ -132,9 +120,9 @@ def run_replicates(
     """Run the estimator once per id in replicate_ids, sharing level sweeps.
 
     Replicates are independent lanes of one batched simulation per level, so
-    a row here is bit-identical to a solo multilevel_estimate run with the
-    same replicate id.  Passing a repeated id repeats its noise exactly,
-    which is useful for degenerate-variance checks.
+    a row here is bit-identical to a solo run, run_replicates(..., [rid]),
+    with the same replicate id.  Passing a repeated id repeats its noise
+    exactly, which is useful for degenerate-variance checks.
     """
 
     _check_positive("sigma", sigma)
@@ -163,34 +151,4 @@ def run_replicates(
         level_ok=level_ok,
         gradient_evals=cost_of(schedule),
         gaussians_drawn=gaussians_of(schedule),
-    )
-
-
-def multilevel_estimate(
-    model: PotentialModel,
-    f: Callable,
-    schedule: LevelSchedule,
-    sigma: float,
-    x0,
-    seed: int,
-    replicate_id: int = 0,
-) -> EstimatorOutput:
-    """One multilevel estimate of the stationary expectation of f.
-
-    Raises NumericalOverflowError with the failing level attached if any
-    path leaves the finite float range.
-    """
-
-    batch = run_replicates(model, f, schedule, sigma, x0, seed, [replicate_id])
-    bad = np.flatnonzero(~batch.level_ok[0])
-    if bad.size:
-        raise NumericalOverflowError(
-            f"path diverged at level {bad[0]} (step {schedule.gamma[0]:g} base)",
-            level=int(bad[0]),
-        )
-    return EstimatorOutput(
-        value=float(batch.values[0]),
-        level_values=tuple(float(v) for v in batch.level_values[0]),
-        gradient_evals=batch.gradient_evals,
-        gaussians_drawn=batch.gaussians_drawn,
     )

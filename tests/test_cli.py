@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from mlgibbs import ConfigError, cli, diagnostics
+from mlgibbs import ConfigError, ConvergenceError, cli, diagnostics, potentials
 from mlgibbs.cli import (
     EXIT_CONFIG,
     EXIT_EPS_ASSERT,
@@ -478,6 +478,39 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("infeasible calibration:")
+
+    @pytest.mark.parametrize(
+        "potential, ridged_by_parse_config",
+        [
+            # parse_config ridges the target with the configured alpha
+            ({"name": "quadratic", "dim": 1, "penalty_alpha": 0.5}, True),
+            # prepare_run ridges it with the calibrated alpha
+            ({"name": "quadratic", "dim": 1}, False),
+        ],
+        ids=["penalty_alpha", "penalized_route"],
+    )
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    def test_a_failed_minimizer_search_exits_three(
+        self, command, potential, ridged_by_parse_config, tmp_path, monkeypatch, capsys
+    ):
+        # a search that cannot converge (center 1e12 with penalty_alpha 0.5)
+        # takes seconds before it gives up, so the failure is forced here
+        def no_minimizer(*args, **kwargs):
+            raise ConvergenceError("minimizer search did not converge")
+
+        monkeypatch.setattr(potentials, "_descend", no_minimizer)
+        raw = base_config(potential=potential)
+        if ridged_by_parse_config:
+            with pytest.raises(ConvergenceError):
+                parse_config(raw)
+        else:
+            with pytest.raises(ConvergenceError):
+                prepare_run(parse_config(raw))
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "infeasible calibration: minimizer search did not converge\n"
 
     @pytest.mark.parametrize("sigma", [1e-200, 1e200])
     @pytest.mark.parametrize("command", ["calibrate", "run"])

@@ -199,7 +199,7 @@ class TestMseExperiment:
         sch = single_level_schedule(0.1, 50.0)
         ref = ReferenceValue(0.5, "closed_form", 0.0)
         report = run_mse_experiment(
-            quad1, squared_norm, sch, 1.0, ref, R=50, seed=9, epsilon_target=0.5
+            quad1, squared_norm, sch, 1.0, ref, R=50, seed=9
         )
         assert report.replicates == 50
         assert report.decomposition_residual() <= 1e-12
@@ -209,41 +209,27 @@ class TestMseExperiment:
         sch = single_level_schedule(0.1, 10.0)
         ref = ReferenceValue(2.0, "closed_form", 0.0)
         report = run_mse_experiment(
-            quad1, lambda x: 2.0, sch, 1.0, ref, R=10, seed=9, epsilon_target=0.5
+            quad1, lambda x: 2.0, sch, 1.0, ref, R=10, seed=9
         )
         assert report.bias == 0.0
         assert report.variance == 0.0
         assert report.rmse == 0.0
-
-    def test_bare_schedule_requires_a_target(self, quad1):
-        sch = single_level_schedule(0.1, 10.0)
-        ref = ReferenceValue(0.5, "closed_form", 0.0)
-        with pytest.raises(InvalidParameterError):
-            run_mse_experiment(quad1, squared_norm, sch, 1.0, ref, R=10, seed=9)
-
-    def test_penalized_plan_carries_its_own_target(self, quad1):
-        plan = calibrate_penalized(0.4, 1.0, 1, 0.75, 1.0)
-        ridged = penalize(quad1, plan.alpha)
-        ref = ReferenceValue(0.0, "closed_form", 0.0)
-        report = run_mse_experiment(
-            ridged, coordinate(0), plan, 1.0, ref, R=10, seed=9
-        )
-        assert report.epsilon_target == 0.4
 
     def test_needs_at_least_two_replicates(self, quad1):
         sch = single_level_schedule(0.1, 10.0)
         ref = ReferenceValue(0.5, "closed_form", 0.0)
         with pytest.raises(InvalidParameterError):
             run_mse_experiment(
-                quad1, squared_norm, sch, 1.0, ref, R=1, seed=9, epsilon_target=0.5
+                quad1, squared_norm, sch, 1.0, ref, R=1, seed=9
             )
 
     def test_doubling_replicates_leaves_the_estimate_stable(self, quad1):
         plan = calibrate_penalized(0.2, 1.0, 1, 0.75, 1.0)
         ridged = penalize(quad1, plan.alpha)
         ref = ReferenceValue(0.5, "closed_form", 0.0)
-        small = run_mse_experiment(ridged, squared_norm, plan, 1.0, ref, R=100, seed=3)
-        large = run_mse_experiment(ridged, squared_norm, plan, 1.0, ref, R=200, seed=3)
+        sch = plan.schedule
+        small = run_mse_experiment(ridged, squared_norm, sch, 1.0, ref, R=100, seed=3)
+        large = run_mse_experiment(ridged, squared_norm, sch, 1.0, ref, R=200, seed=3)
         sem = np.sqrt(small.variance / 100 + large.variance / 200)
         assert abs(small.mean - large.mean) <= 4.0 * sem + 1e-12
         assert 0.5 < small.variance / large.variance < 2.0
@@ -254,7 +240,7 @@ class TestCsvRow:
         sch = single_level_schedule(0.1, 10.0)
         ref = ReferenceValue(0.5, "closed_form", 0.0)
         report = run_mse_experiment(
-            quad1, squared_norm, sch, 1.0, ref, R=5, seed=9, epsilon_target=0.5
+            quad1, squared_norm, sch, 1.0, ref, R=5, seed=9
         )
         row = mse_csv_row("single_level", "quadratic", 1, 1.0, 0.5, sch, report, 9)
         assert len(row.split(",")) == len(MSE_CSV_HEADER.split(","))
@@ -264,7 +250,7 @@ class TestCsvRow:
         sch = single_level_schedule(0.1, 10.0)
         ref = ReferenceValue(0.5, "closed_form", 0.0)
         report = run_mse_experiment(
-            quad1, squared_norm, sch, 1.0, ref, R=5, seed=9, epsilon_target=0.5
+            quad1, squared_norm, sch, 1.0, ref, R=5, seed=9
         )
         row = mse_csv_row("single_level", "quadratic", 1, 1.0, 0.5, sch, report, 9)
         fields = row.split(",")
@@ -301,6 +287,18 @@ class TestStrongErrorCurve:
             strong_error_curve(
                 power1, 1.0, np.array([0.3]), [0.1, 0.05], 5.0, R=1, seed=2
             )
+
+    def test_more_pairs_than_the_stream_span_are_rejected(self, power1, monkeypatch):
+        # pair k at step size i reads stream_id_for(i, k); a k at or past the
+        # span would read the streams of step size i + 1
+        built = []
+        monkeypatch.setattr(engine, "make_streams", lambda *args: built.append(args))
+        with pytest.raises(InvalidParameterError, match="span"):
+            strong_error_curve(
+                power1, 1.0, np.array([0.3]), [0.1, 0.05], 5.0,
+                R=STREAM_LEVEL_SPAN + 1, seed=2,
+            )
+        assert built == []
 
 
 class TestConfluence:

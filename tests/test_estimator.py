@@ -13,7 +13,6 @@ from mlgibbs import (
     ConvexityProfile,
     InvalidParameterError,
     NoiseStream,
-    NumericalOverflowError,
     PotentialModel,
     build_schedule,
     calibrate_penalized,
@@ -21,7 +20,6 @@ from mlgibbs import (
     engine,
     gaussians_of,
     make_quadratic,
-    multilevel_estimate,
     occupation_average,
     penalize,
     run_replicates,
@@ -148,7 +146,7 @@ class TestExactCosts:
 
     def test_reported_counters_match_the_formulas(self, quad1):
         sch = build_schedule(0.25, [8.0, 4.0, 2.0])
-        out = multilevel_estimate(quad1, squared_norm, sch, 1.0, np.zeros(1), 3)
+        out = run_replicates(quad1, squared_norm, sch, 1.0, np.zeros(1), 3, [0])
         assert out.gradient_evals == cost_of(sch)
         assert out.gaussians_drawn == gaussians_of(sch)
 
@@ -167,7 +165,9 @@ class TestExactCosts:
             run()
             return counted["calls"], counted["points"]
 
-        solo = count(lambda: multilevel_estimate(model, squared_norm, sch, 1.0, np.zeros(1), 3))
+        solo = count(
+            lambda: run_replicates(model, squared_norm, sch, 1.0, np.zeros(1), 3, [0])
+        )
         assert solo == (calls, cost_of(sch))
         batch = count(
             lambda: run_replicates(model, squared_norm, sch, 1.0, np.zeros(1), 3, [0, 1, 2])
@@ -212,11 +212,9 @@ class TestReproducibility:
             power1, squared_norm, sch, 1.0, np.zeros(1), 17, [0, 1, 5]
         )
         for row, rid in enumerate([0, 1, 5]):
-            solo = multilevel_estimate(
-                power1, squared_norm, sch, 1.0, np.zeros(1), 17, replicate_id=rid
-            )
-            assert solo.value == batch.values[row]
-            assert solo.level_values == tuple(batch.level_values[row])
+            solo = run_replicates(power1, squared_norm, sch, 1.0, np.zeros(1), 17, [rid])
+            assert solo.values[0] == batch.values[row]
+            assert np.array_equal(solo.level_values[0], batch.level_values[row])
 
     def test_repeated_replicate_id_repeats_its_noise(self, power1):
         sch = build_schedule(0.05, [10.0, 5.0])
@@ -228,11 +226,11 @@ class TestReproducibility:
         """With one level the estimator is a plain time average, and the
         stream layout makes it bit-identical to a hand-run path."""
         sch = single_level_schedule(0.1, 50.0, tau=5.0)
-        out = multilevel_estimate(quad1, squared_norm, sch, 1.0, np.zeros(1), 23)
+        out = run_replicates(quad1, squared_norm, sch, 1.0, np.zeros(1), 23, [0])
         noise = NoiseStream(23, stream_id_for(0, 0), 1)
         path = simulate_path(quad1, np.zeros(1), 0.1, 1.0, sch.step_counts[0], noise)
         manual = occupation_average(path, lambda x: float(np.dot(x, x)), 0.1, 5.0, 50.0)
-        assert out.value == manual
+        assert out.values[0] == manual
 
     def test_distinct_replicates_differ(self, power1):
         sch = build_schedule(0.05, [10.0, 5.0])
@@ -243,11 +241,9 @@ class TestReproducibility:
 class TestStatisticalSanity:
     def test_constant_observable_is_estimated_exactly(self, quad1):
         sch = build_schedule(0.1, [20.0, 10.0, 5.0])
-        out = multilevel_estimate(quad1, lambda x: 3.25, sch, 1.0, np.zeros(1), 2)
-        assert out.value == 3.25
-        assert out.level_values[0] == 3.25
-        assert out.level_values[1] == 0.0
-        assert out.level_values[2] == 0.0
+        out = run_replicates(quad1, lambda x: 3.25, sch, 1.0, np.zeros(1), 2, [0])
+        assert out.values[0] == 3.25
+        assert out.level_values[0].tolist() == [3.25, 0.0, 0.0]
 
     def test_mean_tracks_the_ridged_invariant_moment(self, quad1):
         """The penalized chain targets the ridged law, whose second moment
@@ -277,14 +273,6 @@ class TestStatisticalSanity:
 
 
 class TestFailureHandling:
-    def test_divergent_step_size_raises_with_the_level(self, quad1):
-        sch = single_level_schedule(3.0, 3300.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(NumericalOverflowError) as err:
-                multilevel_estimate(quad1, squared_norm, sch, 1.0, np.full(1, 1.0), 0)
-        assert err.value.level == 0
-
     def test_batch_marks_failed_lanes_instead_of_raising(self, quad1):
         sch = single_level_schedule(3.0, 3300.0)
         with warnings.catch_warnings():

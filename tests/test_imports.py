@@ -1,16 +1,39 @@
-"""scipy never loads: the quadrature oracles run on the package's own QAGS.
+"""Every exported name resolves, and scipy never loads: the quadrature
+oracles run on the package's own QAGS.
 
 pytest's own process may have scipy loaded by other tests or plugins, so the
-checks run in a fresh interpreter.
+scipy checks run in a fresh interpreter.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mlgibbs
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(mlgibbs.__path__))
+
+
+@pytest.mark.parametrize("name", ["mlgibbs"] + [f"mlgibbs.{m}" for m in SUBMODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_the_package_and_its_modules_export_names():
+    # guards the test above against passing on modules it cannot see
+    modules = [importlib.import_module(f"mlgibbs.{m}") for m in SUBMODULES]
+    with_all = [m.__name__ for m in modules if hasattr(m, "__all__")]
+    assert "mlgibbs.estimator" in with_all and "mlgibbs.diagnostics" in with_all
+    assert "run_replicates" in mlgibbs.__all__
+
 
 _PROBE = r"""
 import contextlib

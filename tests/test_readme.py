@@ -36,3 +36,10 @@ def test_config_table_read_by_column_matches_the_cli():
 def test_diag_suite_list_matches_the_registry():
     listed = re.search(r"Suites:\s*(.*?)\.\n", _section("Command line"), re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(diag_suites.SUITES)
+
+
+def test_exit_code_list_matches_the_cli():
+    sentence = re.search(r"Exit codes:(.*?)\.\n", _section("Command line"), re.S).group(1)
+    listed = [int(code) for code in re.findall(r"`(\d+)`", sentence)]
+    codes = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
+    assert listed == sorted(codes)
