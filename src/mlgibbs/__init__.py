@@ -68,9 +68,7 @@ from .potentials import (
     penalize,
 )
 from .sde import (
-    CoupledPathState,
     NoiseStream,
-    PathState,
     euler_step,
     occupation_average,
     simulate_coupled,
@@ -85,7 +83,6 @@ __all__ = [
     "Convexity",
     "ConvexityProfile",
     "ConvergenceError",
-    "CoupledPathState",
     "InfeasibleCalibrationError",
     "InvalidParameterError",
     "LevelSchedule",
@@ -93,7 +90,6 @@ __all__ = [
     "NoiseStream",
     "NumericalOverflowError",
     "OracleFailureError",
-    "PathState",
     "PenalizedPlan",
     "PotentialModel",
     "ReferenceValue",

@@ -285,14 +285,24 @@ def make_power(dim: int, p: float) -> PotentialModel:
 
 def _descend(value_fn, gradient_fn, x0, lipschitz, grad_tol=1e-10, max_iter=10**6):
     # Damped gradient descent: base step 1/L, halved whenever the value rises.
+    # Float spacing can put grad_tol out of reach: the iterates then cycle through
+    # states (x, step) of one value, and the search returns at the first repeat.
+    # Only the states seen since the value last fell are kept.
     x = np.asarray(x0, dtype=float).copy()
     base = 1.0 / lipschitz
     step = base
     g = np.asarray(gradient_fn(x), dtype=float)
+    best, level = math.inf, set()
     for _ in range(max_iter):
         if np.linalg.norm(g) <= grad_tol:
             return x
         fx = float(value_fn(x))
+        if fx < best:
+            best, level = fx, set()
+        state = (x.tobytes(), step)
+        if state in level:
+            return x
+        level.add(state)
         y = x - step * g
         halvings = 0
         while float(value_fn(y)) > fx and halvings < 200:

@@ -1,4 +1,4 @@
-"""Euler discretization of the overdamped Langevin diffusion.
+"""Noise streams and the scalar Euler reference of the overdamped Langevin diffusion.
 
 The scheme for dX_t = -grad U(X_t) dt + sigma dB_t with step gamma is
 
@@ -10,13 +10,16 @@ share their Brownian increments: each coarse step of size gamma consumes two
 fine vectors z1, z2, the fine path advances twice with step gamma / 2, and the
 coarse path receives the same two noise increments in the same order, so the
 coarse Brownian increment is exactly the sum of the two fine ones.
+
+simulate_path and simulate_coupled step one point at a time and return position
+arrays: the batched engine is tested bit for bit against them, so this module
+imports none of engine, estimator or diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +29,6 @@ from .potentials import PotentialModel
 
 __all__ = [
     "NoiseStream",
-    "PathState",
-    "CoupledPathState",
     "euler_step",
     "simulate_path",
     "simulate_coupled",
@@ -71,12 +72,6 @@ class NoiseStream:
         self.cursor += count
         return out
 
-    def next_vector(self) -> np.ndarray:
-        """Draw a single vector, shape (dim,)."""
-        out = self._gen.standard_normal(self.dim)
-        self.cursor += 1
-        return out
-
     def __repr__(self):
         return (
             f"NoiseStream(seed={self.seed}, stream_id={self.stream_id}, "
@@ -84,51 +79,26 @@ class NoiseStream:
         )
 
 
-@dataclass(frozen=True)
-class PathState:
-    """Position of a discrete path at step_index steps of size gamma."""
+def euler_step(model: PotentialModel, x, gamma: float, sigma: float, z) -> np.ndarray:
+    """The Euler successor of the point x with step gamma, driven by the Gaussian vector z."""
 
-    position: np.ndarray
-    step_index: int
-    gamma: float
-
-    @property
-    def time(self) -> float:
-        return self.step_index * self.gamma
+    return x - gamma * model.gradient(x) + sigma * math.sqrt(gamma) * z
 
 
-@dataclass(frozen=True)
-class CoupledPathState:
-    """Synchronously coupled pair at a coarse grid time.
+def _check_path_args(model: PotentialModel, x0, gamma: float, n_steps: int, noise: NoiseStream):
+    """The argument checks of both loops; returns x0 as a float array of shape (d,)."""
 
-    fine runs at half the coarse step; both components sit at the same
-    physical time coarse.step_index * coarse.gamma.
-    """
-
-    fine: PathState
-    coarse: PathState
-
-
-def euler_step(
-    model: PotentialModel, state: PathState, sigma: float, noise_vec: np.ndarray
-) -> PathState:
-    """One Euler update from ``state`` driven by the given Gaussian vector."""
-
-    x = np.asarray(state.position, dtype=float)
-    z = np.asarray(noise_vec, dtype=float)
-    if x.shape != (model.dim,) or z.shape != (model.dim,):
+    _check_step_size(model, gamma)
+    if n_steps < 0:
+        raise InvalidParameterError(f"step count must be nonnegative, got {n_steps}")
+    if noise.dim != model.dim:
         raise InvalidParameterError(
-            f"position and noise must have shape ({model.dim},), "
-            f"got {x.shape} and {z.shape}"
+            f"noise stream dimension {noise.dim} does not match model dimension {model.dim}"
         )
-    gamma = state.gamma
-    y = x - gamma * model.gradient(x) + sigma * math.sqrt(gamma) * z
-    if not np.all(np.isfinite(y)):
-        raise NumericalOverflowError(
-            f"non-finite position after step {state.step_index + 1}",
-            step_index=state.step_index + 1,
-        )
-    return PathState(position=y, step_index=state.step_index + 1, gamma=gamma)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.dim,):
+        raise InvalidParameterError(f"x0 must have shape ({model.dim},), got {x0.shape}")
+    return x0
 
 
 def simulate_path(
@@ -138,29 +108,26 @@ def simulate_path(
     sigma: float,
     n_steps: int,
     noise: NoiseStream,
-) -> List[PathState]:
-    """Simulate n_steps Euler updates; returns the n_steps + 1 visited states.
+) -> np.ndarray:
+    """Simulate n_steps Euler updates; returns the visited positions.
 
-    Consumes exactly n_steps vectors from ``noise``.
+    Row k of the (n_steps + 1, d) result is the position at time k * gamma,
+    row 0 the start.  Consumes exactly n_steps vectors from ``noise``, one per
+    step; a non-finite position raises NumericalOverflowError with the index
+    of the step that made it.
     """
 
-    _check_step_size(model, gamma)
-    if n_steps < 0:
-        raise InvalidParameterError(f"n_steps must be nonnegative, got {n_steps}")
-    if noise.dim != model.dim:
-        raise InvalidParameterError(
-            f"noise stream dimension {noise.dim} does not match model dimension {model.dim}"
-        )
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dim,):
-        raise InvalidParameterError(f"x0 must have shape ({model.dim},), got {x0.shape}")
-
-    state = PathState(position=x0.copy(), step_index=0, gamma=gamma)
-    out = [state]
-    for _ in range(n_steps):
-        state = euler_step(model, state, sigma, noise.next_vector())
-        out.append(state)
-    return out
+    x = _check_path_args(model, x0, gamma, n_steps, noise)
+    path = np.empty((n_steps + 1, model.dim))
+    path[0] = x
+    for n in range(n_steps):
+        x = euler_step(model, x, gamma, sigma, noise.normals(1)[0])
+        if not np.all(np.isfinite(x)):
+            raise NumericalOverflowError(
+                f"non-finite position after step {n + 1}", step_index=n + 1
+            )
+        path[n + 1] = x
+    return path
 
 
 def simulate_coupled(
@@ -170,43 +137,26 @@ def simulate_coupled(
     sigma: float,
     n_coarse_steps: int,
     noise: NoiseStream,
-) -> List[CoupledPathState]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Simulate a synchronously coupled fine/coarse pair from a common start.
 
-    ``gamma`` is the coarse step; the fine path uses gamma / 2 and is reported
-    at the coarse grid times only.  Each coarse step draws two vectors z1, z2
-    from ``noise``; the fine path receives sigma sqrt(gamma/2) z1 then
-    sigma sqrt(gamma/2) z2, and the coarse path receives the identical two
-    increments after its single drift update, which makes the coarse Brownian
-    increment the exact float sum of the fine pair.
+    ``gamma`` is the coarse step; the fine path uses gamma / 2.  Returns
+    (fine, coarse), two (n_coarse_steps + 1, d) arrays whose row m is the
+    position at the coarse grid time m * gamma.  Each coarse step draws two
+    vectors z1, z2 from ``noise``, so 2 * n_coarse_steps in all; the fine path
+    receives sigma sqrt(gamma/2) z1 then sigma sqrt(gamma/2) z2, and the
+    coarse path receives the identical two increments after its single drift
+    update, which makes the coarse Brownian increment the exact float sum of
+    the fine pair.
     """
 
-    _check_step_size(model, gamma)
-    if n_coarse_steps < 0:
-        raise InvalidParameterError(f"n_coarse_steps must be nonnegative, got {n_coarse_steps}")
-    if noise.dim != model.dim:
-        raise InvalidParameterError(
-            f"noise stream dimension {noise.dim} does not match model dimension {model.dim}"
-        )
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dim,):
-        raise InvalidParameterError(f"x0 must have shape ({model.dim},), got {x0.shape}")
-
+    xf = xc = _check_path_args(model, x0, gamma, n_coarse_steps, noise)
+    fine, coarse = np.empty((2, n_coarse_steps + 1, model.dim))
+    fine[0] = coarse[0] = xf
     gamma_fine = 0.5 * gamma
     s_fine = sigma * math.sqrt(gamma_fine)
-    xf = x0.copy()
-    xc = x0.copy()
-    states = [
-        CoupledPathState(
-            fine=PathState(xf.copy(), 0, gamma_fine),
-            coarse=PathState(xc.copy(), 0, gamma),
-        )
-    ]
     for m in range(n_coarse_steps):
-        z1 = noise.next_vector()
-        z2 = noise.next_vector()
-        inc1 = s_fine * z1
-        inc2 = s_fine * z2
+        inc1, inc2 = s_fine * noise.normals(2)
         xf = xf - gamma_fine * model.gradient(xf) + inc1
         xf = xf - gamma_fine * model.gradient(xf) + inc2
         xc = (xc - gamma * model.gradient(xc) + inc1) + inc2
@@ -214,17 +164,13 @@ def simulate_coupled(
             raise NumericalOverflowError(
                 f"non-finite position after coarse step {m + 1}", step_index=m + 1
             )
-        states.append(
-            CoupledPathState(
-                fine=PathState(xf.copy(), 2 * (m + 1), gamma_fine),
-                coarse=PathState(xc.copy(), m + 1, gamma),
-            )
-        )
-    return states
+        fine[m + 1] = xf
+        coarse[m + 1] = xc
+    return fine, coarse
 
 
 def occupation_average(
-    path: List[PathState],
+    path: np.ndarray,
     f: Callable[[np.ndarray], float],
     gamma: float,
     tau: float,
@@ -232,8 +178,10 @@ def occupation_average(
 ) -> float:
     """Time average (gamma / (T - tau)) sum of f over grid times in [tau, T).
 
-    tau and T must be grid multiples of gamma; the divisor uses the grid
-    counts, so the result is the plain mean of f over the included states.
+    ``path`` holds one position per row at the grid times k * gamma, as
+    simulate_path returns it.  tau and T must be grid multiples of gamma;
+    the divisor uses the grid counts, so the result is the plain mean of f
+    over the included rows.
     """
 
     k0 = grid_count_up(tau, gamma)
@@ -245,10 +193,8 @@ def occupation_average(
     if k1 <= k0:
         raise InvalidParameterError(f"empty averaging window [tau={tau}, T={T})")
     if len(path) < k1:
-        raise InvalidParameterError(
-            f"path has {len(path)} states but the window needs {k1}"
-        )
+        raise InvalidParameterError(f"path has {len(path)} rows but the window needs {k1}")
     acc = 0.0
     for k in range(k0, k1):
-        acc += float(f(path[k].position))
+        acc += float(f(path[k]))
     return acc / (k1 - k0)

@@ -463,6 +463,16 @@ class TestMainEntry:
         assert payload["J"] == 1
         assert payload["predicted_cost"] > 0.0
 
+    def test_a_minimizer_beyond_grad_tol_spacing_calibrates(self, tmp_path, capsys):
+        # at center 1e12 float spacing keeps |g| above the search's 1e-10
+        # tolerance; the search returns the point it can no longer move
+        raw = base_config(
+            potential={"name": "quadratic", "dim": 1, "center": 1e12, "penalty_alpha": 0.5}
+        )
+        path = write_config(tmp_path, raw)
+        assert main(["calibrate", "--config", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["method"] == "penalized"
+
     @pytest.mark.parametrize("epsilon", [1e-300, 1e-150])
     @pytest.mark.parametrize("method", ["penalized", "weak_i", "weak_ii", "single_level"])
     def test_epsilon_beyond_float_range_exits_three(self, method, epsilon, tmp_path, capsys):

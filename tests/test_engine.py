@@ -70,9 +70,9 @@ class TestOccupationSums:
             path = simulate_path(model, x0, 0.05, 1.0, n, NoiseStream(11, sid, d))
             solo = 0.0
             for k in range(burn, n):
-                solo += float(squared_norm(path[k].position))
+                solo += float(squared_norm(path[k]))
             assert sums[lane] == solo
-            np.testing.assert_array_equal(pos[lane], path[-1].position)
+            np.testing.assert_array_equal(pos[lane], path[-1])
 
 
 class TestCoupledDiffSums:
@@ -84,9 +84,9 @@ class TestCoupledDiffSums:
             model, squared_norm, x0, 0.1, 1.0, n, 0, streams
         )
         assert ok.all()
-        states = simulate_coupled(model, x0, 0.1, 1.0, n, NoiseStream(11, 9, d))
-        np.testing.assert_array_equal(pos_f[0], states[-1].fine.position)
-        np.testing.assert_array_equal(pos_c[0], states[-1].coarse.position)
+        fine, coarse = simulate_coupled(model, x0, 0.1, 1.0, n, NoiseStream(11, 9, d))
+        np.testing.assert_array_equal(pos_f[0], fine[-1])
+        np.testing.assert_array_equal(pos_c[0], coarse[-1])
 
     def test_rerun_is_bitwise_identical(self, power1):
         out = []

@@ -1,5 +1,7 @@
 """Potential models: values, gradients, curvature envelopes, validation."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,27 @@ def test_penalize_profile_and_minimizer():
     assert ridged.profile.L == base.profile.L + 0.5
     # centered base keeps its minimizer at the origin
     assert np.linalg.norm(ridged.minimizer) < 1e-8
+
+
+@pytest.mark.parametrize("center", [1e8, 1e12])
+def test_minimizer_search_ends_where_float_spacing_stops_it(center):
+    """|g| <= 1e-10 is out of reach at these centers; the search returns the
+    point it can no longer move instead of iterating to max_iter."""
+    start = time.perf_counter()
+    ridged = penalize(make_quadratic(1, center=center), 0.5)
+    assert time.perf_counter() - start < 1.0
+    m = ridged.minimizer
+    assert np.all(np.abs(ridged.gradient(m)) < ridged.profile.L * np.spacing(np.abs(m)))
+
+
+@pytest.mark.parametrize("scale, alpha", [(4.0, 3.0), (0.25, 3.0), (4.0, 0.01)])
+def test_minimizer_search_ends_a_cycle_of_equal_values(scale, alpha):
+    """Here the iterates stall after a halved step or alternate between two
+    neighbouring floats; the search returns at the first repeated state."""
+    start = time.perf_counter()
+    ridged = penalize(make_quadratic(1, center=1e6, scale=scale), alpha)
+    assert time.perf_counter() - start < 1.0
+    assert ridged.minimizer[0] == pytest.approx(scale * 1e6 / (scale + alpha), rel=1e-14)
 
 
 def test_penalized_gradient_is_strongly_monotone(rng):

@@ -43,3 +43,11 @@ def test_exit_code_list_matches_the_cli():
     listed = [int(code) for code in re.findall(r"`(\d+)`", sentence)]
     codes = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
     assert listed == sorted(codes)
+
+
+def test_layout_lists_every_module():
+    (block,) = re.findall(r"```\n(src/mlgibbs/\n.*?)```", _section("Layout"), re.S)
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    package = Path(__file__).resolve().parents[1] / "src" / "mlgibbs"
+    modules = [p.name for p in package.glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)

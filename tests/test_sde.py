@@ -1,7 +1,8 @@
 """Single paths, coupled pairs, noise streams, and the time grid."""
 
+import ast
 import math
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from mlgibbs import (
     simulate_coupled,
     simulate_path,
 )
-from mlgibbs.sde import PathState, grid_count_up
+from mlgibbs.sde import grid_count_up
 
 
 def zero_potential(dim=1):
@@ -73,9 +74,6 @@ class TestNoiseStream:
         block = s.normals(5)
         assert block.shape == (5, 2)
         assert s.cursor == 5
-        v = s.next_vector()
-        assert v.shape == (2,)
-        assert s.cursor == 6
 
     def test_chunked_draws_match_one_shot(self):
         a = NoiseStream(7, 1, 3)
@@ -123,46 +121,54 @@ class TestNoiseStream:
             NoiseStream(0, 0, 0)
 
 
+def test_the_reference_imports_none_of_the_code_it_checks():
+    """The scalar reference stays apart from the batched engine it verifies."""
+    source = Path(__file__).resolve().parents[1] / "src" / "mlgibbs" / "sde.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert "potentials" in parts
+    assert not parts & {"engine", "estimator", "diagnostics"}
+
+
 class TestEulerStep:
     def test_one_step_arithmetic_is_exact(self, quad1):
-        state = PathState(np.array([1.0]), 0, 0.5)
-        new = euler_step(quad1, state, 1.0, np.array([1.0]))
+        new = euler_step(quad1, np.array([1.0]), 0.5, 1.0, np.array([1.0]))
         # x - gamma x + sigma sqrt(gamma) z with x=1, gamma=0.5, z=1
-        assert new.position[0] == 0.5 + math.sqrt(0.5)
-        assert new.step_index == 1
-        assert new.gamma == 0.5
-
-    def test_time_property_tracks_the_grid(self, quad1):
-        state = PathState(np.zeros(1), 4, 0.25)
-        assert state.time == 1.0
+        assert new[0] == 0.5 + math.sqrt(0.5)
 
     def test_overflow_reports_the_failing_step(self, quad1):
-        state = PathState(np.array([1e300]), 6, 8.0)
-        with pytest.raises(NumericalOverflowError) as err:
-            s = state
-            for _ in range(10):
-                s = euler_step(quad1, s, 1.0, np.zeros(1))
-        assert err.value.step_index is not None
-        assert err.value.step_index > 6
+        # x_n = (-7)^n 1e300 (the noise is far below its spacing) first
+        # leaves float range at n = 10
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalOverflowError) as err:
+            simulate_path(quad1, np.array([1e300]), 8.0, 1.0, 20, NoiseStream(0, 0, 1))
+        assert err.value.step_index == 10
 
 
 class TestSimulatePath:
     def test_returns_initial_state_plus_n_steps(self, quad1):
         path = simulate_path(quad1, np.array([0.3]), 0.1, 1.0, 7, NoiseStream(0, 0, 1))
-        assert len(path) == 8
-        assert path[0].position[0] == 0.3
-        assert path[0].step_index == 0
-        assert path[-1].step_index == 7
+        assert path.shape == (8, 1)
+        assert path[0, 0] == 0.3
+
+    def test_consumes_one_vector_per_step(self, quad3):
+        noise = NoiseStream(0, 0, 3)
+        simulate_path(quad3, np.zeros(3), 0.1, 1.0, 7, noise)
+        assert noise.cursor == 7
 
     def test_zero_steps_is_just_the_start(self, quad1):
         path = simulate_path(quad1, np.array([0.3]), 0.1, 1.0, 0, NoiseStream(0, 0, 1))
-        assert len(path) == 1
+        assert path.shape == (1, 1)
 
     def test_rerun_is_bitwise_identical(self, power1):
         a = simulate_path(power1, np.array([0.5]), 0.05, 1.0, 200, NoiseStream(3, 8, 1))
         b = simulate_path(power1, np.array([0.5]), 0.05, 1.0, 200, NoiseStream(3, 8, 1))
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.position, sb.position)
+        np.testing.assert_array_equal(a, b)
 
     def test_large_step_on_smooth_model_warns(self, quad1):
         with pytest.warns(RuntimeWarning):
@@ -178,7 +184,7 @@ class TestSimulatePath:
         path = simulate_path(
             quad1, np.zeros(1), 0.01, 1.0, 100_000, NoiseStream(0, 0, 1)
         )
-        tail = np.array([s.position[0] for s in path[50_000:]])
+        tail = path[50_000:, 0]
         assert abs(np.mean(tail**2) - 0.5) < 0.05
 
 
@@ -186,55 +192,52 @@ class TestSimulateCoupled:
     def test_flat_potential_pair_coincides_bitwise(self):
         """With no drift the two resolutions see identical increment sums."""
         model = zero_potential()
-        states = simulate_coupled(
+        fine, coarse = simulate_coupled(
             model, np.array([0.7]), 0.2, 1.0, 50, NoiseStream(5, 2, 1)
         )
-        for cs in states:
-            np.testing.assert_array_equal(cs.fine.position, cs.coarse.position)
+        assert fine.shape == coarse.shape == (51, 1)
+        np.testing.assert_array_equal(fine, coarse)
 
-    def test_fine_chain_runs_at_twice_the_resolution(self, power1):
-        states = simulate_coupled(
-            power1, np.array([0.1]), 0.1, 1.0, 30, NoiseStream(5, 2, 1)
-        )
-        last = states[-1]
-        assert last.coarse.step_index == 30
-        assert last.fine.step_index == 60
-        assert last.coarse.gamma == 0.1
-        assert last.fine.gamma == 0.05
+    def test_fine_chain_runs_at_twice_the_resolution(self, quad3):
+        """Two draws per coarse step: the fine path steps twice as often."""
+        noise = NoiseStream(5, 2, 3)
+        fine, _ = simulate_coupled(quad3, np.zeros(3), 0.1, 1.0, 30, noise)
+        assert noise.cursor == 60
+        path = simulate_path(quad3, np.zeros(3), 0.05, 1.0, 60, NoiseStream(5, 2, 3))
+        np.testing.assert_array_equal(fine, path[::2])
 
     def test_rerun_is_bitwise_identical(self, power1):
         a = simulate_coupled(power1, np.array([0.3]), 0.1, 1.0, 60, NoiseStream(9, 4, 1))
         b = simulate_coupled(power1, np.array([0.3]), 0.1, 1.0, 60, NoiseStream(9, 4, 1))
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.fine.position, sb.fine.position)
-            np.testing.assert_array_equal(sa.coarse.position, sb.coarse.position)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 class TestOccupationAverage:
     def test_plain_mean_over_the_window(self):
-        path = [PathState(np.array([float(k)]), k, 0.5) for k in range(10)]
+        path = np.arange(10.0)[:, None]
         out = occupation_average(path, lambda x: float(x[0]), 0.5, 1.0, 3.0)
         # window covers grid indices 2, 3, 4, 5
         assert out == np.mean([2.0, 3.0, 4.0, 5.0])
 
     def test_zero_burn_in_starts_at_the_initial_state(self):
-        path = [PathState(np.array([float(k)]), k, 1.0) for k in range(5)]
+        path = np.arange(5.0)[:, None]
         assert occupation_average(path, lambda x: float(x[0]), 1.0, 0.0, 3.0) == 1.0
 
     def test_window_endpoints_must_sit_on_the_grid(self):
-        path = [PathState(np.zeros(1), k, 0.5) for k in range(10)]
+        path = np.zeros((10, 1))
         with pytest.raises(InvalidParameterError):
             occupation_average(path, lambda x: 0.0, 0.5, 0.3, 3.0)
         with pytest.raises(InvalidParameterError):
             occupation_average(path, lambda x: 0.0, 0.5, 0.0, 2.7)
 
     def test_empty_window_rejected(self):
-        path = [PathState(np.zeros(1), k, 0.5) for k in range(10)]
+        path = np.zeros((10, 1))
         with pytest.raises(InvalidParameterError):
             occupation_average(path, lambda x: 0.0, 0.5, 2.0, 2.0)
 
     def test_short_path_rejected(self):
-        path = [PathState(np.zeros(1), k, 0.5) for k in range(3)]
+        path = np.zeros((3, 1))
         with pytest.raises(InvalidParameterError):
             occupation_average(path, lambda x: 0.0, 0.5, 0.0, 5.0)
 
@@ -250,7 +253,7 @@ class TestOccupationAverage:
     @given(offset=st.integers(min_value=0, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_shifting_the_window_shifts_the_mean(self, offset):
-        path = [PathState(np.array([float(k)]), k, 1.0) for k in range(20)]
+        path = np.arange(20.0)[:, None]
         tau = float(offset)
         out = occupation_average(path, lambda x: float(x[0]), 1.0, tau, tau + 4.0)
         assert out == pytest.approx(offset + 1.5)
