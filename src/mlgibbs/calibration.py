@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import InfeasibleCalibrationError, InvalidParameterError
-from .potentials import _PARAMETRIC, Convexity, ConvexityProfile, PotentialModel
+from .potentials import (
+    _PARAMETRIC,
+    Convexity,
+    ConvexityProfile,
+    PotentialModel,
+    _check_dimension,
+    _check_nonnegative,
+    _check_positive,
+)
 
 __all__ = [
     "RegimeConstants",
@@ -52,21 +60,6 @@ class RegimeConstants:
 
     gamma_star: float
     psi_bar: float
-
-
-def _check_positive(name: str, value: float):
-    if not (value > 0.0 and math.isfinite(value)):
-        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_nonnegative(name: str, value: float):
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise InvalidParameterError(f"{name} must be nonnegative and finite, got {value}")
-
-
-def _check_dimension(d: int):
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise InvalidParameterError(f"d must be a positive integer, got {d}")
 
 
 def _check_delta(delta: float):
@@ -141,12 +134,15 @@ def grid_count_up(t: float, gamma: float) -> int:
 def regime_constants(
     profile: ConvexityProfile, d: int, sigma: float, c_r: float = 1.0
 ) -> RegimeConstants:
-    """Step bound and moment scale implied by a parametric convexity profile."""
+    """Step bound and moment scale implied by a parametric convexity profile;
+    c_r scales a two-sided profile's moment scale and must be 1.0 on a lower-only one."""
 
     _check_dimension(d)
     _check_nonnegative("sigma", sigma)
     _check_positive("c_r", c_r)
     _require_parametric(profile)
+    if profile.kind is Convexity.PARAMETRIC_LOWER and c_r != 1.0:
+        raise InvalidParameterError(f"c_r must be 1.0 on a lower-only profile, got {c_r}")
     L, c_lo, r = profile.L, profile.c_lower, profile.r
     try:
         if profile.kind is Convexity.PARAMETRIC_TWO_SIDED:
@@ -194,7 +190,7 @@ class LevelSchedule:
             _check_positive(f"T[{j}]", t)
             q = t / grid
             n = round(q) if math.isfinite(q) else 0
-            if n < 1 or abs(t - n * grid) > 1e-9 * max(1.0, t):
+            if n < 1 or abs(t - n * grid) > _GRID_SNAP * max(1.0, t):
                 raise InvalidParameterError(
                     f"T[{j}]={t} is not a grid multiple of {grid}"
                 )

@@ -30,9 +30,7 @@ from .calibration import (
     PenalizedPlan,
     _check_admissible,
     _check_delta,
-    _check_nonnegative,
     _check_open_rho,
-    _check_positive,
     _require_parametric,
     build_schedule,
     calibrate_penalized,
@@ -63,6 +61,8 @@ from .observables import _ascii_int, parse_observable
 from .potentials import (
     _PARAMETRIC,
     PotentialModel,
+    _check_nonnegative,
+    _check_positive,
     make_power,
     make_quadratic,
     penalize,
@@ -282,6 +282,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     c_r = _positive_real(raw.get("c_r", 1.0), "c_r")
     if method in ("weak_i", "weak_ii"):
         _checked("method", _require_parametric, target.profile)
+        # at the default c_r first, so an overflow sigma alone causes names sigma
+        _checked("sigma", regime_constants, target.profile, dim, sigma)
         _checked("c_r", regime_constants, target.profile, dim, sigma, c_r)
     gamma0 = _positive_real(raw["gamma0"], "gamma0") if "gamma0" in raw else None
     if gamma0 is not None and target.profile.kind in _PARAMETRIC:

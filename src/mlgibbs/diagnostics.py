@@ -26,7 +26,6 @@ import numpy as np
 from . import engine
 from .calibration import (
     LevelSchedule,
-    _check_positive,
     _check_step_size,
     decreasing_penalization_gap,
     grid_count_up,
@@ -40,7 +39,9 @@ from .errors import (
 )
 from .estimator import STREAM_LEVEL_SPAN, BatchResult, run_replicates, stream_id_for
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
-from .potentials import FAMILY_QUADRATIC, PotentialModel, _as_point, _sum_sq, penalize
+from .potentials import (
+    FAMILY_QUADRATIC, PotentialModel, _as_point, _check_positive, _sum_sq, penalize,
+)
 
 __all__ = [
     "SLACK_FRACTION",
@@ -516,7 +517,6 @@ def strong_error_curve(
 
     if len(gammas) < 2:
         raise InvalidParameterError("need at least two step sizes for a slope")
-    x0 = _as_point(x0, model.dim, "x0")
     from .observables import squared_norm
 
     msds, ses = [], []

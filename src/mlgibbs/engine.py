@@ -45,7 +45,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .potentials import PotentialModel, _sum_sq
+from .potentials import PotentialModel, _as_point, _sum_sq
 from .sde import NoiseStream
 
 BACKEND = "numpy"
@@ -264,11 +264,13 @@ def _lane_mean_series(state, streams, n_steps, scale, step, stat) -> np.ndarray:
 # drivers
 
 
-def _init_positions(x0, R: int, d: int) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,):
-        raise InvalidParameterError(f"x0 must have shape ({d},), got {x0.shape}")
-    return np.tile(x0, (R, 1))
+def _init_positions(x0, R: int, d: int, name: str = "x0") -> np.ndarray:
+    return np.tile(_as_point(x0, d, name), (R, 1))
+
+
+def _check_window(n_burn: int, n: int):
+    if not 0 <= n_burn < n:
+        raise InvalidParameterError(f"empty averaging window: burn {n_burn} of {n} steps")
 
 
 def occupation_sums(
@@ -288,10 +290,7 @@ def occupation_sums(
     """
 
     R, d = len(streams), model.dim
-    if not 0 <= n_burn < n_steps:
-        raise InvalidParameterError(
-            f"empty averaging window: burn {n_burn} of {n_steps} steps"
-        )
+    _check_window(n_burn, n_steps)
     pos = _init_positions(x0, R, d)
     acc = np.zeros(R)
     record = _window_sum(_batched_observable(f, d), n_burn, acc)
@@ -319,10 +318,7 @@ def coupled_diff_sums(
     """
 
     R, d = len(streams), model.dim
-    if not 0 <= n_burn < n_coarse:
-        raise InvalidParameterError(
-            f"empty averaging window: burn {n_burn} of {n_coarse} coarse steps"
-        )
+    _check_window(n_burn, n_coarse)
     start = _init_positions(x0, R, d)
     pair = np.stack((start, start))  # fine, coarse
     acc = np.zeros(R)
@@ -351,7 +347,7 @@ def pair_distance_series(
     """
 
     R, d = len(streams), model_a.dim
-    pair = np.stack((_init_positions(x0_a, R, d), _init_positions(x0_b, R, d)))
+    pair = np.stack((_init_positions(x0_a, R, d, "x0_a"), _init_positions(x0_b, R, d, "x0_b")))
     step_a, step_b = _chain_step(model_a, gamma), _chain_step(model_b, gamma)
 
     def step(x, y, noise, k):

@@ -24,9 +24,9 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import engine
-from .calibration import LevelSchedule, _check_positive, _check_step_size, _coarse_grids
+from .calibration import LevelSchedule, _check_step_size, _coarse_grids
 from .errors import InvalidParameterError
-from .potentials import PotentialModel, _as_point
+from .potentials import PotentialModel, _check_positive
 
 __all__ = [
     "STREAM_LEVEL_SPAN",
@@ -129,7 +129,6 @@ def run_replicates(
     R = len(replicate_ids)
     if R < 1:
         raise InvalidParameterError("need at least one replicate id")
-    x0 = _as_point(x0, model.dim, "x0")
     _check_step_size(model, schedule.gamma[0])
 
     jobs = level_jobs(schedule)

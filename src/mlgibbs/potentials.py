@@ -37,6 +37,36 @@ __all__ = [
 ]
 
 
+# The package's input rules; name is the argument's name in the error messages.
+
+
+def _check_positive(name: str, value: float):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(name: str, value: float):
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise InvalidParameterError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _check_dimension(d: int, name: str = "d"):
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {d}")
+
+
+def _as_point(value, dim: int, name: str) -> np.ndarray:
+    """value as a finite float (dim,) array; a scalar fills every coordinate."""
+    x = np.asarray(value, dtype=float)
+    if x.ndim == 0:
+        x = np.full(dim, float(x))
+    if x.shape != (dim,):
+        raise InvalidParameterError(f"{name} must be scalar or length-{dim}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameterError(f"{name} must be finite")
+    return x
+
+
 class Convexity(Enum):
     """How much curvature a potential guarantees.
 
@@ -75,8 +105,7 @@ class ConvexityProfile:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise InvalidParameterError(f"L must be positive and finite, got {self.L}")
+        _check_positive("L", self.L)
         if self.kind in _PARAMETRIC:
             if self.L < 1.0:
                 raise InvalidParameterError(
@@ -137,14 +166,8 @@ class PotentialModel:
     closed_form: Optional[ClosedFormDrift] = field(default=None)
 
     def __post_init__(self):
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise InvalidParameterError(f"dim must be a positive integer, got {self.dim}")
-        m = np.asarray(self.minimizer, dtype=float)
-        if m.shape != (self.dim,):
-            raise InvalidParameterError(
-                f"minimizer must have shape ({self.dim},), got {m.shape}"
-            )
-        object.__setattr__(self, "minimizer", m)
+        _check_dimension(self.dim, "dim")
+        object.__setattr__(self, "minimizer", _as_point(self.minimizer, self.dim, "minimizer"))
 
     def value(self, x) -> np.ndarray:
         return np.asarray(self.value_fn(np.asarray(x, dtype=float)), dtype=float)
@@ -182,19 +205,6 @@ def _row_sums(xx: np.ndarray):
     return s[()]
 
 
-def _as_point(value, dim: int, name: str) -> np.ndarray:
-    """value as a finite float (dim,) array; a scalar fills every coordinate.
-    name is the argument's name in the error messages."""
-    x = np.asarray(value, dtype=float)
-    if x.ndim == 0:
-        x = np.full(dim, float(x))
-    if x.shape != (dim,):
-        raise InvalidParameterError(f"{name} must be scalar or length-{dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError(f"{name} must be finite")
-    return x
-
-
 def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
     """Quadratic bowl U(x) = (scale / 2) |x - center|^2.
 
@@ -202,8 +212,7 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
     Gaussian with mean center and variance sigma^2 / (2 scale) per coordinate.
     """
 
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise InvalidParameterError(f"scale must be positive and finite, got {scale}")
+    _check_positive("scale", scale)
     c = _as_point(center, dim, "center")
     # x - (+0.0) and x * 1.0 are x bit for bit for every float64, -0.0
     # included, so the default bowl's gradient is its input, chosen here once.
@@ -325,8 +334,7 @@ def penalize(base: PotentialModel, alpha: float) -> PotentialModel:
     gradient descent started from the base minimizer.
     """
 
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise InvalidParameterError(f"alpha must be positive and finite, got {alpha}")
+    _check_positive("alpha", alpha)
 
     base_value = base.value_fn
     base_gradient = base.gradient_fn

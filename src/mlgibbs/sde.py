@@ -25,7 +25,7 @@ import numpy as np
 
 from .calibration import _GRID_SNAP, _check_step_size, grid_count_up
 from .errors import InvalidParameterError, NumericalOverflowError
-from .potentials import PotentialModel
+from .potentials import PotentialModel, _as_point, _check_dimension
 
 __all__ = [
     "NoiseStream",
@@ -49,8 +49,7 @@ class NoiseStream:
     def __init__(self, seed: int, stream_id: int, dim: int):
         if seed < 0 or stream_id < 0:
             raise InvalidParameterError("seed and stream_id must be nonnegative")
-        if dim < 1:
-            raise InvalidParameterError(f"dim must be positive, got {dim}")
+        _check_dimension(dim, "dim")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.dim = int(dim)
@@ -86,7 +85,7 @@ def euler_step(model: PotentialModel, x, gamma: float, sigma: float, z) -> np.nd
 
 
 def _check_path_args(model: PotentialModel, x0, gamma: float, n_steps: int, noise: NoiseStream):
-    """The argument checks of both loops; returns x0 as a float array of shape (d,)."""
+    """The argument checks of both loops; returns x0 as a finite float array of shape (d,)."""
 
     _check_step_size(model, gamma)
     if n_steps < 0:
@@ -95,10 +94,7 @@ def _check_path_args(model: PotentialModel, x0, gamma: float, n_steps: int, nois
         raise InvalidParameterError(
             f"noise stream dimension {noise.dim} does not match model dimension {model.dim}"
         )
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dim,):
-        raise InvalidParameterError(f"x0 must have shape ({model.dim},), got {x0.shape}")
-    return x0
+    return _as_point(x0, model.dim, "x0")
 
 
 def simulate_path(

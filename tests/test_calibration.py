@@ -54,6 +54,13 @@ class TestRegimeConstants:
         assert rc.gamma_star == 0.25
         assert rc.psi_bar == 10.0
 
+    def test_lower_only_profile_accepts_only_the_default_c_r(self):
+        # its moment scale has no c_r term, so any other c_r would be ignored
+        pr = ConvexityProfile(Convexity.PARAMETRIC_LOWER, L=2.0, c_lower=0.5, r=0.4)
+        assert regime_constants(pr, 3, 1.0, c_r=1.0).psi_bar == 155.7481451556507
+        with pytest.raises(InvalidParameterError, match="^c_r "):
+            regime_constants(pr, 3, 1.0, c_r=50.0)
+
     def test_moment_scale_grows_linearly_with_dimension(self):
         one = regime_constants(POWER_PROFILE, 1, 1.0).psi_bar
         four = regime_constants(POWER_PROFILE, 4, 1.0).psi_bar

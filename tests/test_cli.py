@@ -57,6 +57,16 @@ INVALID_IN_RANGE = [
     ({"method": "weak_ii", "potential": POWER, "rho": 1.5}, "rho"),
     ({"method": "weak_ii", "potential": POWER, "delta": 0.5}, "delta"),
     ({"method": "weak_i", "potential": POWER, "c_r": 1e-300}, "c_r"),
+    # the moment scale overflows at the default c_r: sigma is at fault
+    (
+        {
+            "method": "weak_ii",
+            "potential": {"name": "power", "dim": 1000000, "p": 0.75},
+            "sigma": 3e151,
+            "f": "norm2",
+        },
+        "sigma",
+    ),
     ({"potential": {"name": "power", "dim": 1, "p": 0.3}}, "potential.p"),
     ({"potential": {"name": "quadratic", "dim": 2, "center": [0.0] * 3}}, "potential.center"),
     ({"method": "weak_i"}, "method"),
@@ -503,8 +513,8 @@ class TestMainEntry:
     def test_a_failed_minimizer_search_exits_three(
         self, command, potential, ridged_by_parse_config, tmp_path, monkeypatch, capsys
     ):
-        # a search that cannot converge (center 1e12 with penalty_alpha 0.5)
-        # takes seconds before it gives up, so the failure is forced here
+        # no config reaches a ConvergenceError any more (center 1e12 with
+        # penalty_alpha 0.5 now calibrates), so the stub forces one here
         def no_minimizer(*args, **kwargs):
             raise ConvergenceError("minimizer search did not converge")
 
