@@ -12,26 +12,39 @@ to a single-lane run.
 The drivers are plain numpy, so a rerun gives the same bytes in every
 environment.  The loop is bound by the per-call overhead of numpy on small
 arrays, so it keeps the number of calls per step low without changing a
-single float operation.  Each lane's Gaussians are drawn straight into its
-row of the (R, count, d) chunk buffer.  The draws are the one bulk layer,
-and numpy fills them with the GIL released, so the chunk's lanes are split
-into contiguous groups, one per CPU the process may use, when each lane's
-fill is long enough to pay for handing the GIL between threads: the caller
-fills the first group, a thread started and joined within the call fills
-each other one.  A lane is drawn by one thread only, into its own row, so
-the bits do not depend on the number of groups.  At each block boundary
-one call copies the block's vectors into a reused step-major buffer of shape
-(draws * _BLOCK, R, d), moving each d-vector as one opaque 8d-byte element,
-and one more scales that block in place while it is in cache, so a step adds
-one contiguous (R, d) slab instead of rows a chunk apart; memory is the chunk
-plus that one block buffer.
+single float operation.  numpy takes its fast path only when all operands
+have the same shape or one is a scalar, so every per-step call takes
+same-shape operands or a scalar.  A step sees the state as one (rows, d)
+array: R rows for a chain, 2R for a pair (the two chains of a
+pair-distance series, or the fine rows then the coarse rows of a coupled
+pair).  The coupled step scales its drift by a (2R, d) array of per-row
+step sizes built once per driver call, and each of a step's draws arrives
+as one (rows, d) slab.
+
+Each lane's Gaussians are drawn straight into its row of the (R, count, d)
+chunk buffer.  The draws are the one bulk layer, and numpy fills them with
+the GIL released, so the chunk's lanes are split into contiguous groups,
+one per CPU the process may use, when each lane's fill is long enough to
+pay for handing the GIL between threads: the caller fills the first group,
+a thread started and joined within the call fills each other one.  A lane
+is drawn by one thread only, into its own row, so the bits do not depend on
+the number of groups.  At each block boundary one call copies the block's
+vectors into a reused step-major buffer of shape (draws * _BLOCK, R, d),
+moving each d-vector as one opaque 8d-byte element, and one more scales
+that block in place while it is in cache.  A pair driver then copies the
+scaled block into a second buffer of (2R, d) slabs, so it keeps each draw
+twice: a lane's fine row and coarse row get the same vector.  A step adds
+one contiguous slab instead of rows a chunk apart; memory is the chunk plus
+these block buffers.
+
 Each step writes its state into the next slot of a small trajectory buffer,
-and the recorder reads the block's slots in one call: the window sums
-evaluate the observable on the slots past burn-in and add its values with
-np.add.accumulate, which adds strictly in step order, so the sums carry the
-bits of one addition per step; the series helpers take one lane mean per
-slot.  Like the lane batching, this relies on drift and observable maps
-acting on each row alone.
+and the recorder reads the block's slots, shaped like the state, in one
+call: the window sums evaluate the observable on the slots past burn-in and
+add its values with np.add.accumulate, which adds strictly in step order,
+so the sums carry the bits of one addition per step; the series helpers
+take one lane mean per slot.  Like the lane batching, this relies on drift
+and observable maps acting on each row alone.  A gradient may return its
+own input, so no step writes into a gradient's result.
 """
 
 from __future__ import annotations
@@ -161,24 +174,30 @@ def _add_in_step_order(acc: np.ndarray, v: np.ndarray) -> None:
 
 
 def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
-    """Advance state, an (..., R, d) array, by n_steps steps in place.
+    """Advance state, an (R, d) chain or a (2, R, d) pair, by n_steps steps in place.
 
-    step(x, y, noise, k) writes the successor of x into y.  noise is the
-    current block, step-major: the (R, d) slabs noise[draws * k] to
-    noise[draws * (k + 1) - 1] are the step's draws for every lane, already
-    multiplied by scale, and k counts steps from the start of the block.
-    record(traj, k, b) runs after each block of b steps from grid point k:
-    slot 0 of traj holds the state at k and slot i + 1 the state at k + i + 1.
+    The step sees the state as one (rows, d) array, rows R for a chain and 2R
+    for a pair, the rows of state[0] first.  step(x, y, noise, k) writes the
+    successor of the rows x into y.  noise is a list of (rows, d) slabs,
+    step-major: noise[draws * k] to noise[draws * (k + 1) - 1] are the step's
+    draws, already multiplied by scale, each lane's draw repeated in every
+    copy of the lane, and k counts steps from the start of the block.
+    record(traj, k, b) runs after each block of b steps from grid point k;
+    traj is shaped like state behind a slot axis: slot 0 holds the state at
+    k and slot i + 1 the state at k + i + 1.
     """
 
     R, d = len(streams), state.shape[-1]
+    copies = state.size // (R * d)
     traj = np.empty((_BLOCK + 1,) + state.shape)
-    slots = list(traj)
-    slots[0][...] = state
+    traj[0] = state
+    slots = list(traj.reshape(_BLOCK + 1, copies * R, d))
     # each d-vector moves as one opaque 8d-byte element: a copy, no arithmetic
     vec = np.dtype((np.void, 8 * d))
     block = np.empty((draws * _BLOCK, R, d))
     block_vecs = block.view(vec)[..., 0]
+    rows = block if copies == 1 else np.empty((draws * _BLOCK, copies, R, d))
+    slabs = list(rows.reshape(draws * _BLOCK, copies * R, d))
     chunk = _chunk_steps(R, draws * d)
     k0 = 0
     while k0 < n_steps:
@@ -188,12 +207,14 @@ def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
             b = min(_BLOCK, n - b0)
             block_vecs[:draws * b] = noise_vecs[:, draws * b0:draws * (b0 + b)].T
             block[:draws * b] *= scale
+            if copies > 1:
+                rows[:draws * b] = block[:draws * b, None]
             for i in range(b):
-                step(slots[i], slots[i + 1], block, i)
+                step(slots[i], slots[i + 1], slabs, i)
             record(traj, k0 + b0, b)
             slots[0][...] = slots[b]
         k0 += n
-    state[...] = slots[0]
+    state[...] = traj[0]
 
 
 def _chain_step(model: PotentialModel, gamma: float) -> Callable:
@@ -208,25 +229,31 @@ def _chain_step(model: PotentialModel, gamma: float) -> Callable:
     return step
 
 
-def _coupled_step(model: PotentialModel, gamma: float) -> Callable:
-    """One coarse step of a (2, R, d) pair, fine lanes then coarse lanes.
+def _coupled_step(model: PotentialModel, gamma: float, R: int) -> Callable:
+    """One coarse step of a pair's 2R rows, R fine rows then R coarse rows.
 
     Noise arrives scaled for the fine step.  This is the fine recursion
     (x - (gamma/2) g + inc1) - (gamma/2) g' + inc2 and the coarse one
     ((y - gamma g) + inc1) + inc2, operation for operation; the fine half-step
-    and the coarse step start from the same point, so one drift call on the
-    (2R, d) view serves both, and one call adds each shared increment to both.
+    and the coarse step start from the same point, so one drift call on all
+    2R rows serves both, scaled by a per-row step size, and one call adds
+    each shared increment to both.  The products go to a scratch buffer:
+    a gradient may return its own input, so nothing writes into its result.
     """
 
-    grad, d, gfine = model.gradient_fn, model.dim, 0.5 * gamma
-    steps = np.array([gfine, gamma]).reshape(2, 1, 1)
+    grad, gfine = model.gradient_fn, 0.5 * gamma
+    steps = np.empty((2 * R, model.dim))
+    steps[:R], steps[R:] = gfine, gamma
+    scratch = np.empty_like(steps)
+    scratch_fine = scratch[:R]
 
     def step(x, y, noise, k):
-        g = grad(x.reshape(-1, d)).reshape(x.shape)
-        np.subtract(x, steps * g, out=y)
+        np.multiply(steps, grad(x), out=scratch)
+        np.subtract(x, scratch, out=y)
         y += noise[2 * k]
-        fine = y[0]
-        fine -= gfine * grad(fine)
+        fine = y[:R]
+        np.multiply(gfine, grad(fine), out=scratch_fine)
+        fine -= scratch_fine
         y += noise[2 * k + 1]
 
     return step
@@ -324,7 +351,7 @@ def coupled_diff_sums(
     acc = np.zeros(R)
     record = _window_sum(_batched_observable(f, d), n_burn, acc)
     _advance(pair, streams, n_coarse, 2, sigma * math.sqrt(0.5 * gamma),
-             _coupled_step(model, gamma), record)
+             _coupled_step(model, gamma, R), record)
     ok = np.isfinite(acc) & np.all(np.isfinite(pair), axis=(0, 2))
     return acc, ok, pair[0], pair[1]
 
@@ -348,11 +375,13 @@ def pair_distance_series(
 
     R, d = len(streams), model_a.dim
     pair = np.stack((_init_positions(x0_a, R, d, "x0_a"), _init_positions(x0_b, R, d, "x0_b")))
-    step_a, step_b = _chain_step(model_a, gamma), _chain_step(model_b, gamma)
+    grad_a, grad_b = model_a.gradient_fn, model_b.gradient_fn
 
     def step(x, y, noise, k):
-        step_a(x[0], y[0], noise, k)
-        step_b(x[1], y[1], noise, k)
+        # both drift updates, then one add of the shared draw to all 2R rows
+        np.subtract(x[:R], gamma * grad_a(x[:R]), out=y[:R])
+        np.subtract(x[R:], gamma * grad_b(x[R:]), out=y[R:])
+        y += noise[k]
 
     series = _lane_mean_series(
         pair, streams, n_steps, sigma * math.sqrt(gamma), step,

@@ -55,6 +55,12 @@ def _check_dimension(d: int, name: str = "d"):
         raise InvalidParameterError(f"{name} must be a positive integer, got {d}")
 
 
+def _check_nonnegative_integer(value: int, name: str):
+    # numpy integers pass, as the Python ints they convert to
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidParameterError(f"{name} must be a nonnegative integer, got {value}")
+
+
 def _as_point(value, dim: int, name: str) -> np.ndarray:
     """value as a finite float (dim,) array; a scalar fills every coordinate."""
     x = np.asarray(value, dtype=float)

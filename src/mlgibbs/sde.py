@@ -25,7 +25,7 @@ import numpy as np
 
 from .calibration import _GRID_SNAP, _check_step_size, grid_count_up
 from .errors import InvalidParameterError, NumericalOverflowError
-from .potentials import PotentialModel, _as_point, _check_dimension
+from .potentials import PotentialModel, _as_point, _check_dimension, _check_nonnegative_integer
 
 __all__ = [
     "NoiseStream",
@@ -47,8 +47,8 @@ class NoiseStream:
     """
 
     def __init__(self, seed: int, stream_id: int, dim: int):
-        if seed < 0 or stream_id < 0:
-            raise InvalidParameterError("seed and stream_id must be nonnegative")
+        _check_nonnegative_integer(seed, "seed")
+        _check_nonnegative_integer(stream_id, "stream_id")
         _check_dimension(dim, "dim")
         self.seed = int(seed)
         self.stream_id = int(stream_id)

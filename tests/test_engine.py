@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from mlgibbs import (
+    Convexity,
+    ConvexityProfile,
     InvalidParameterError,
     NoiseStream,
+    PotentialModel,
     build_schedule,
     make_power,
     make_quadratic,
@@ -217,6 +220,17 @@ def _per_step_pair_distance(model_a, model_b, x0_a, x0_b, gamma, sigma, n, strea
     return series, posa, posb
 
 
+def aliasing_model(d):
+    """No closed form; the gradient returns its own input array."""
+    return PotentialModel(
+        d,
+        lambda x: 0.5 * np.sum(x * x, axis=-1),
+        lambda x: x,
+        ConvexityProfile(Convexity.STRONGLY_CONVEX, L=1.0, alpha=1.0),
+        np.zeros(d),
+    )
+
+
 def scalar_norm2(x):
     """An observable that takes one position at a time."""
     if np.ndim(x) != 1:
@@ -331,13 +345,19 @@ class TestBlockedNumpyLoop:
         np.testing.assert_array_equal(sums, want)
         np.testing.assert_array_equal(pos, want_pos)
 
+    # the aliasing model's gradient returns its own input: the drivers keep
+    # scratch buffers beside the state, and none may write into a gradient's
+    # result
+    @pytest.mark.parametrize("aliasing", [False, True], ids=["power", "aliasing"])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("chunk", [20, None])
     @pytest.mark.parametrize("n, burn", WINDOWS)
-    def test_coupled_diff_sums_in_other_dimensions(self, blocks, chunk, n, burn, d, monkeypatch):
+    def test_coupled_diff_sums_in_other_dimensions(
+        self, blocks, chunk, n, burn, d, aliasing, monkeypatch
+    ):
         if chunk is not None:
             monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: chunk)
-        model = make_power(d, 0.75)
+        model = aliasing_model(d) if aliasing else make_power(d, 0.75)
         x0 = np.array([0.4, -0.2, 0.1][:d])
         f = uncoded(squared_norm)
         sums, ok, pf, pc = engine.coupled_diff_sums(
@@ -351,14 +371,18 @@ class TestBlockedNumpyLoop:
         np.testing.assert_array_equal(pf, want_f)
         np.testing.assert_array_equal(pc, want_c)
 
+    @pytest.mark.parametrize("aliasing", [False, True], ids=["ridges", "aliasing"])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("chunk", [20, None])
     @pytest.mark.parametrize("n", [150, 13])
-    def test_pair_distance_series_in_other_dimensions(self, blocks, chunk, n, d, monkeypatch):
+    def test_pair_distance_series_in_other_dimensions(
+        self, blocks, chunk, n, d, aliasing, monkeypatch
+    ):
         if chunk is not None:
             monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: chunk)
         base = make_quadratic(d, center=np.array([0.3, -0.2, 0.5][:d]), scale=1.5)
-        models = (penalize(base, 1.0), penalize(base, 0.25))
+        models = ((aliasing_model(d),) * 2 if aliasing
+                  else (penalize(base, 1.0), penalize(base, 0.25)))
         starts = (np.array([1.0, -1.0, 0.5][:d]), np.array([-0.5, 0.5, 2.0][:d]))
         got = engine.pair_distance_series(
             *models, *starts, 0.05, 1.0, n, engine.make_streams(3, range(5), d)
@@ -541,25 +565,31 @@ class TestParallelDraw:
         assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("copies", [1, 2], ids=["chain", "pair"])
 @pytest.mark.parametrize("draws", [1, 2])
 @pytest.mark.parametrize("d", [1, 3])
-def test_each_step_adds_contiguous_lane_slabs(draws, d, monkeypatch):
-    # a step reads its draws as C-contiguous (R, d) slabs, one per draw, in
-    # stream order; blocks of 7 steps straddle chunks of 20
+def test_each_step_adds_contiguous_lane_slabs(copies, draws, d, monkeypatch):
+    # a step reads its state as C-contiguous (copies * R, d) rows and its
+    # draws as slabs of that shape, one per draw, in stream order, each lane's
+    # draw repeated in every copy of the lane; blocks of 7 steps straddle
+    # chunks of 20
     monkeypatch.setattr(engine, "_BLOCK", 7)
     monkeypatch.setattr(engine, "_chunk_steps", lambda R, d: 20)
     R, n, scale = 3, 45, 0.3
+    rows = (copies * R, d)
     seen = []
 
     def step(x, y, noise, k):
+        assert x.shape == y.shape == rows and x.flags.c_contiguous and y.flags.c_contiguous
         for j in range(draws):
             slab = noise[draws * k + j]
-            assert slab.shape == (R, d) and slab.flags.c_contiguous
-            seen.append(slab.copy())
+            assert slab.shape == rows and slab.flags.c_contiguous
+            seen.append(slab.reshape(copies, R, d).copy())
         y[...] = x
 
-    state = np.zeros((R, d))
+    state = np.zeros((2, R, d) if copies == 2 else (R, d))
     engine._advance(state, engine.make_streams(5, [0, 3, 8], d), n, draws, scale,
                     step, lambda traj, k, b: None)
     want = np.stack([NoiseStream(5, sid, d).normals(draws * n) for sid in (0, 3, 8)], axis=1)
-    np.testing.assert_array_equal(np.stack(seen), want * scale)
+    for c in range(copies):
+        np.testing.assert_array_equal(np.stack(seen)[:, c], want * scale)

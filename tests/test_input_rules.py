@@ -1,4 +1,5 @@
-"""The shared input rules: start points, dimensions and the averaging window."""
+"""The shared input rules: start points, dimensions, seeds and stream ids, and the
+averaging window."""
 
 import dataclasses
 import math
@@ -133,6 +134,29 @@ def test_a_potential_model_needs_an_integer_dimension(dim):
 def test_a_noise_stream_needs_an_integer_dimension(dim):
     with pytest.raises(InvalidParameterError, match="^dim must be a positive integer"):
         NoiseStream(0, 0, dim)
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id, name",
+    [(1.5, 0, "seed"), (True, 2, "seed"), (-1, 0, "seed"),
+     (1, 2.9, "stream_id"), (1, np.float64(2.0), "stream_id"), (1, False, "stream_id"),
+     (0, -2, "stream_id")],
+)
+def test_a_noise_stream_needs_nonnegative_integer_seed_and_stream_id(seed, stream_id, name):
+    # int() would truncate a float or bool: NoiseStream(True, 2.9, 1) is not stream 2 of seed 1
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be a nonnegative integer"):
+        NoiseStream(seed, stream_id, 1)
+
+
+def test_numpy_integer_seed_and_stream_id_draw_the_python_ints_bits():
+    got = NoiseStream(np.int64(4), np.uint32(7), D)
+    assert (got.seed, got.stream_id) == (4, 7)
+    assert got.normals(5).tobytes() == NoiseStream(4, 7, D).normals(5).tobytes()
+
+
+def test_run_replicates_refuses_a_float_seed():
+    with pytest.raises(InvalidParameterError, match="^seed must be a nonnegative integer"):
+        run_replicates(QUAD, squared_norm, build_schedule(0.1, [0.8]), 1.0, OTHER, 1.5, [0])
 
 
 @pytest.mark.parametrize("driver", [engine.occupation_sums, engine.coupled_diff_sums])
