@@ -61,7 +61,6 @@ __all__ = [
     "run_mse_experiment",
     "strong_error_curve",
     "confluence_curve",
-    "quadratic_confluence_theory",
     "moment_envelope_check",
     "level_variance_profile",
     "decreasing_penalization_probe",
@@ -582,14 +581,6 @@ def confluence_curve(
     )
     times, values = _probe_series(series, gamma, "shared-noise pair")
     return ConfluenceCurve(times=times, mean_square_distances=values)
-
-
-def quadratic_confluence_theory(
-    scale: float, gamma: float, dist0: float, n_steps: int
-) -> np.ndarray:
-    """Exact decay (1 - scale*gamma)^{2k} dist0 of the quadratic recursion."""
-    k = np.arange(n_steps + 1)
-    return dist0 * (1.0 - scale * gamma) ** (2 * k)
 
 
 @dataclass(frozen=True)

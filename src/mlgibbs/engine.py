@@ -9,17 +9,25 @@ stream draws are sequential per lane, so results are bit-identical for any
 chunking, and every lane's arithmetic is elementwise and therefore identical
 to a single-lane run.
 
-The drivers are plain numpy, so a rerun gives the same bytes in every
-environment.  The loop is bound by the per-call overhead of numpy on small
-arrays, so it keeps the number of calls per step low without changing a
-single float operation.  numpy takes its fast path only when all operands
-have the same shape or one is a scalar, so every per-step call takes
-same-shape operands or a scalar.  A step sees the state as one (rows, d)
-array: R rows for a chain, 2R for a pair (the two chains of a
-pair-distance series, or the fine rows then the coarse rows of a coupled
-pair).  The coupled step scales its drift by a (2R, d) array of per-row
-step sizes built once per driver call, and each of a step's draws arrives
-as one (rows, d) slab.
+The drivers are plain numpy, so a rerun gives the same bytes for one numpy
+build on one set of CPU features: numpy picks its SIMD loops by the CPU, and
+its AVX512 pow differs from the plain one in the last bit, so the power
+family's runs differ between the two.  The loop is bound by the per-call
+overhead of numpy on small arrays, so it keeps the number of calls per step
+low without changing a single float operation.  numpy takes its fast path
+only when all operands have the same shape or one is a 0-d array, so every
+per-step call takes same-shape operands or a 0-d float64 array, built once
+per driver call or per model: a Python float operand is converted on every
+call, which nearly doubles the cost of a call on a few hundred floats.  The
+one exception is the power gradient's pow at a single point (sde.py's
+scalar reference and the minimizer search), whose base is a numpy scalar:
+there ** takes a Python float and runs libm's pow, where a 0-d exponent
+would run numpy's, whose last bit can differ; + and * give the same bits
+either way.  A step sees the state as one (rows, d) array: R rows for a
+chain, 2R for a pair (the two chains of a pair-distance series, or the fine
+rows then the coarse rows of a coupled pair).  The coupled step scales its
+drift by a (2R, d) array of per-row step sizes built once per driver call,
+and each of a step's draws arrives as one (rows, d) slab.
 
 Each lane's Gaussians are drawn straight into its row of the (R, count, d)
 chunk buffer.  The draws are the one bulk layer, and numpy fills them with
@@ -58,8 +66,14 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .potentials import PotentialModel, _as_point, _sum_sq
-from .sde import NoiseStream
+from .potentials import (
+    PotentialModel,
+    _as_point,
+    _check_dimension,
+    _check_nonnegative_integer,
+    _sum_sq,
+)
+from .sde import NoiseStream, _seed_words
 
 BACKEND = "numpy"
 HAVE_NUMBA = False  # always False; perfbench/child.py still reads it
@@ -96,7 +110,17 @@ def _chunk_steps(R: int, d: int) -> int:
 
 
 def make_streams(seed: int, stream_ids: Sequence[int], dim: int) -> List[NoiseStream]:
-    return [NoiseStream(seed, sid, dim) for sid in stream_ids]
+    """NoiseStream(seed, sid, dim) for each sid, bit for bit, with the seeding
+    hash of all the ids computed in one vectorized pass."""
+
+    _check_nonnegative_integer(seed, "seed")
+    ids = list(stream_ids)
+    for sid in ids:
+        _check_nonnegative_integer(sid, "stream_id")
+    _check_dimension(dim, "dim")
+    ids = [int(sid) for sid in ids]
+    words = _seed_words(int(seed), ids)
+    return [NoiseStream._from_words(seed, sid, dim, w) for sid, w in zip(ids, words)]
 
 
 def _draw_chunk(streams: List[NoiseStream], count: int) -> np.ndarray:
@@ -217,13 +241,16 @@ def _advance(state, streams, n_steps, draws, scale, step, record) -> None:
     state[...] = traj[0]
 
 
-def _chain_step(model: PotentialModel, gamma: float) -> Callable:
-    """The Euler step (x - gamma grad U(x)) + noise of one chain."""
+def _chain_step(model: PotentialModel, gamma: float, R: int) -> Callable:
+    """The Euler step (x - gamma grad U(x)) + noise of a chain of R rows; the
+    product goes to a scratch buffer."""
 
-    grad = model.gradient_fn
+    grad, step_size = model.gradient_fn, np.array(gamma, dtype=float)
+    scratch = np.empty((R, model.dim))
 
     def step(x, y, noise, k):
-        np.subtract(x, gamma * grad(x), out=y)
+        np.multiply(step_size, grad(x), out=scratch)
+        np.subtract(x, scratch, out=y)
         y += noise[k]
 
     return step
@@ -241,7 +268,7 @@ def _coupled_step(model: PotentialModel, gamma: float, R: int) -> Callable:
     a gradient may return its own input, so nothing writes into its result.
     """
 
-    grad, gfine = model.gradient_fn, 0.5 * gamma
+    grad, gfine = model.gradient_fn, np.array(0.5 * gamma)
     steps = np.empty((2 * R, model.dim))
     steps[:R], steps[R:] = gfine, gamma
     scratch = np.empty_like(steps)
@@ -322,7 +349,7 @@ def occupation_sums(
     acc = np.zeros(R)
     record = _window_sum(_batched_observable(f, d), n_burn, acc)
     _advance(pos, streams, n_steps, 1, sigma * math.sqrt(gamma),
-             _chain_step(model, gamma), record)
+             _chain_step(model, gamma, R), record)
     ok = np.isfinite(acc) & np.all(np.isfinite(pos), axis=1)
     return acc, ok, pos
 
@@ -376,11 +403,14 @@ def pair_distance_series(
     R, d = len(streams), model_a.dim
     pair = np.stack((_init_positions(x0_a, R, d, "x0_a"), _init_positions(x0_b, R, d, "x0_b")))
     grad_a, grad_b = model_a.gradient_fn, model_b.gradient_fn
+    step_size, scratch = np.array(gamma, dtype=float), np.empty((R, d))
 
     def step(x, y, noise, k):
         # both drift updates, then one add of the shared draw to all 2R rows
-        np.subtract(x[:R], gamma * grad_a(x[:R]), out=y[:R])
-        np.subtract(x[R:], gamma * grad_b(x[R:]), out=y[R:])
+        np.multiply(step_size, grad_a(x[:R]), out=scratch)
+        np.subtract(x[:R], scratch, out=y[:R])
+        np.multiply(step_size, grad_b(x[R:]), out=scratch)
+        np.subtract(x[R:], scratch, out=y[R:])
         y += noise[k]
 
     series = _lane_mean_series(
@@ -404,6 +434,6 @@ def value_power_series(
     R, d = len(streams), model.dim
     return _lane_mean_series(
         _init_positions(x0, R, d), streams, n_steps, sigma * math.sqrt(gamma),
-        _chain_step(model, gamma),
+        _chain_step(model, gamma, R),
         lambda t: model.value(t.reshape(-1, d)).reshape(t.shape[:-1]) ** p_mom,
     )

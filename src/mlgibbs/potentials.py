@@ -51,7 +51,8 @@ def _check_nonnegative(name: str, value: float):
 
 
 def _check_dimension(d: int, name: str = "d"):
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+    # numpy integers pass, as the Python ints they convert to
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidParameterError(f"{name} must be a positive integer, got {d}")
 
 
@@ -173,6 +174,7 @@ class PotentialModel:
 
     def __post_init__(self):
         _check_dimension(self.dim, "dim")
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "minimizer", _as_point(self.minimizer, self.dim, "minimizer"))
 
     def value(self, x) -> np.ndarray:
@@ -218,6 +220,7 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
     Gaussian with mean center and variance sigma^2 / (2 scale) per coordinate.
     """
 
+    _check_dimension(dim, "dim")
     _check_positive("scale", scale)
     c = _as_point(center, dim, "center")
     # x - (+0.0) and x * 1.0 are x bit for bit for every float64, -0.0
@@ -235,10 +238,11 @@ def make_quadratic(dim: int, center=0.0, scale: float = 1.0) -> PotentialModel:
             return x
 
     else:
+        factor = np.array(scale, dtype=float)
 
         def gradient(x):
             g = x - c
-            g *= scale
+            g *= factor
             return g
 
     profile = ConvexityProfile(kind=Convexity.STRONGLY_CONVEX, L=scale, alpha=scale)
@@ -261,21 +265,26 @@ def make_power(dim: int, p: float) -> PotentialModel:
     U attains its minimum value 1 at the origin.
     """
 
+    _check_dimension(dim, "dim")
     if not (0.5 < p <= 1.0):
         raise InvalidParameterError(f"p must lie in (1/2, 1], got {p}")
 
     def value(x):
         return (1.0 + _sum_sq(x)) ** p
 
+    one, exponent, twice_p = (np.array(v) for v in (1.0, p - 1.0, 2.0 * p))
+
     def gradient(x):
         # the bits of (2p (1 + |x|^2)^(p-1)) x, built in the squares' buffer:
         # IEEE + and * commute, so w + 1.0 and w * 2p are 1.0 + w and 2p * w,
-        # and the last multiply is same-shape rather than a row broadcast
+        # and the last multiply is same-shape rather than a row broadcast.
+        # A point's w is a numpy scalar, whose ** with a float is libm's pow,
+        # and ** with a 0-d array numpy's own, which can differ in the last bit
         g = x * x
         w = _row_sums(g)
-        w += 1.0
-        w **= p - 1.0
-        w *= 2.0 * p
+        w += one
+        w **= exponent if w.ndim else p - 1.0
+        w *= twice_p
         g[...] = w[..., np.newaxis]
         g *= x
         return g
@@ -344,6 +353,7 @@ def penalize(base: PotentialModel, alpha: float) -> PotentialModel:
 
     base_value = base.value_fn
     base_gradient = base.gradient_fn
+    ridge = np.array(alpha, dtype=float)
 
     def value(x):
         return base_value(x) + 0.5 * alpha * _sum_sq(x)
@@ -351,7 +361,7 @@ def penalize(base: PotentialModel, alpha: float) -> PotentialModel:
     def gradient(x):
         # the bits of base_gradient(x) + alpha * x in one owned array; the base
         # result may be x itself, so it is never written into
-        g = alpha * x
+        g = ridge * x
         g += base_gradient(x)
         return g
 

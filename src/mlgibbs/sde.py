@@ -18,8 +18,9 @@ imports none of engine, estimator or diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,13 +51,22 @@ class NoiseStream:
         _check_nonnegative_integer(seed, "seed")
         _check_nonnegative_integer(stream_id, "stream_id")
         _check_dimension(dim, "dim")
+        self._start(seed, stream_id, dim, np.random.SeedSequence([int(seed), int(stream_id)]))
+
+    @classmethod
+    def _from_words(cls, seed: int, stream_id: int, dim: int, words: np.ndarray) -> "NoiseStream":
+        """The stream NoiseStream(seed, stream_id, dim), its PCG64 seeded with
+        words, the row of _seed_words for stream_id; the arguments are not checked."""
+        stream = cls.__new__(cls)
+        stream._start(seed, stream_id, dim, _preset_words_type()(words))
+        return stream
+
+    def _start(self, seed, stream_id, dim, seed_seq):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.dim = int(dim)
         self.cursor = 0
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
-        )
+        self._gen = np.random.Generator(np.random.PCG64(seed_seq))
 
     def normals(self, count: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Draw ``count`` vectors, shape (count, dim).
@@ -76,6 +86,118 @@ class NoiseStream:
             f"NoiseStream(seed={self.seed}, stream_id={self.stream_id}, "
             f"dim={self.dim}, cursor={self.cursor})"
         )
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), all uint32
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    # the successive hash constants init, init * mult, ... as a (count, 1)
+    # column; shared between calls, so read only
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _word_count(n: int) -> int:
+    # the 32-bit words SeedSequence splits n into, little-endian: one for 0
+    return max(1, (n.bit_length() + 31) // 32)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    r ^= r >> 16
+    return r
+
+
+def _seed_words(seed: int, stream_ids: List[int]) -> np.ndarray:
+    """SeedSequence([seed, sid]).generate_state(4, np.uint64) for every sid.
+
+    Returns an (n, 4) uint64 array, row i for stream_ids[i], bit for bit
+    numpy's words, computed for all the ids at once: SeedSequence hashes its
+    entropy words with constants that do not depend on the data, so each of
+    its uint32 operations runs on a column of all the ids.  seed and the ids
+    are nonnegative Python ints.
+    """
+
+    n = len(stream_ids)
+    head = [(seed >> (32 * k)) & _MASK32 for k in range(_word_count(seed))]
+    wide = _word_count(max(stream_ids, default=0))
+    try:
+        ids = np.array(stream_ids, dtype=np.uint64)
+    except OverflowError:  # an id of 2**64 or more: Python ints
+        ids = np.array(stream_ids, dtype=object)
+    # entropy word k of every id, zero past an id's own words; a row is as
+    # long as its seed words and id words together
+    entropy = np.zeros((max(_POOL, len(head) + wide), n), dtype=np.uint32)
+    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    length = np.full(n, len(head) + 1)
+    for k in range(wide):
+        entropy[len(head) + k] = (ids >> (32 * k)) & _MASK32
+        if k:
+            length += ids >= 1 << (32 * k)
+    # mix_entropy: pool word i hashes entropy word i, or 0 past the entropy;
+    # each pool word then mixes in every other one, each source updating the
+    # three other words from its own fixed value; the entropy past the pool
+    # mixes into all four, in rows that have it
+    tail = len(entropy) - _POOL
+    hc = _hash_consts(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1) + _POOL * tail + 1)
+
+    def hashmix(v, c):
+        v = v ^ hc[c:c + len(v)]
+        v *= hc[c + 1:c + 1 + len(v)]
+        v ^= v >> 16
+        return v
+
+    pool = hashmix(entropy[:_POOL], 0)
+    c = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[[src] * len(dst)], c))
+        c += len(dst)
+    for k in range(_POOL, len(entropy)):
+        mixed = _mix(pool, hashmix(np.broadcast_to(entropy[k], pool.shape), c))
+        c += _POOL
+        pool = np.where(length > k, mixed, pool)
+    # generate_state(4, np.uint64): 8 uint32 words cycling over the pool,
+    # paired little-endian
+    hc = _hash_consts(_INIT_B, _MULT_B, 9)
+    state = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hc[:8]
+    state *= hc[1:]
+    state ^= state >> 16
+    words = state[1::2].astype(np.uint64) << np.uint64(32) | state[0::2]
+    return np.ascontiguousarray(words.T)
+
+
+@functools.cache
+def _preset_words_type() -> type:
+    # built on first use: numpy imports numpy.random lazily, and importing it
+    # with this module would add its load time to every import of the package
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetWords(ISeedSequence):
+        """A seed sequence that hands PCG64 the four uint64 words it was built with."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"preset seed words are 4 uint64, asked for {n_words} {np.dtype(dtype)}"
+                )
+            return self.words
+
+    return PresetWords
 
 
 def euler_step(model: PotentialModel, x, gamma: float, sigma: float, z) -> np.ndarray:

@@ -34,9 +34,16 @@ from mlgibbs.diagnostics import (
     decreasing_penalization_probe,
     level_variance_profile,
     mse_csv_row,
-    quadratic_confluence_theory,
 )
 from mlgibbs.estimator import STREAM_LEVEL_SPAN, stream_id_for
+
+
+def quadratic_confluence_theory(
+    scale: float, gamma: float, dist0: float, n_steps: int
+) -> np.ndarray:
+    """Exact decay (1 - scale*gamma)^{2k} dist0 of the quadratic recursion."""
+    k = np.arange(n_steps + 1)
+    return dist0 * (1.0 - scale * gamma) ** (2 * k)
 
 
 @pytest.fixture(scope="module")

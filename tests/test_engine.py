@@ -49,6 +49,57 @@ def test_make_streams_assigns_ids_in_order():
     assert all(s.dim == 2 for s in streams)
 
 
+# ids of one, two and three 32-bit words in one call, and seeds of one to four:
+# seed and id words past numpy's 4-word pool take SeedSequence's tail mixing
+MIXED_IDS = [0, 2**32 - 1, 2**32, 2**33 + 7] + [2**20 * r + j for r in (1, 3, 99) for j in (0, 5)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**100])
+@pytest.mark.parametrize("ids", [MIXED_IDS, [2**64, 5, 2**96 + 1]], ids=["mixed", "wide"])
+def test_make_streams_draws_the_bits_of_noise_stream(seed, ids):
+    streams = engine.make_streams(seed, ids, 2)
+    assert len(streams) == len(ids)
+    for stream, sid in zip(streams, ids):
+        assert (stream.seed, stream.stream_id, stream.dim, stream.cursor) == (seed, sid, 2, 0)
+        want = NoiseStream(seed, sid, 2)
+        for count in (3, 1, 8):
+            assert stream.normals(count).tobytes() == want.normals(count).tobytes()
+
+
+def test_make_streams_of_no_ids_is_empty():
+    assert engine.make_streams(7, [], 2) == []
+    assert engine.make_streams(7, range(0), 2) == []
+
+
+def test_preset_seed_words_serve_only_pcg64s_request():
+    seed_seq = engine.make_streams(7, [3], 2)[0]._gen.bit_generator.seed_seq
+    assert seed_seq.generate_state(4, np.uint64).tolist() == (
+        np.random.SeedSequence([7, 3]).generate_state(4, np.uint64).tolist()
+    )
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="^preset seed words are 4 uint64"):
+            seed_seq.generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize(
+    "seed, ids, dim, message",
+    [(1.5, [0], 2, "seed must be a nonnegative integer, got 1.5"),
+     (True, [0], 2, "seed must be a nonnegative integer, got True"),
+     (-1, [0], 2, "seed must be a nonnegative integer, got -1"),
+     (1, [0, 2.9], 2, "stream_id must be a nonnegative integer, got 2.9"),
+     (1, [False], 2, "stream_id must be a nonnegative integer, got False"),
+     (1, [0, -2], 2, "stream_id must be a nonnegative integer, got -2"),
+     (1, [0], 2.7, "dim must be a positive integer, got 2.7"),
+     (1, [0], True, "dim must be a positive integer, got True"),
+     (1, [0], 0, "dim must be a positive integer, got 0")],
+)
+def test_make_streams_refuses_what_noise_stream_refuses(seed, ids, dim, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        NoiseStream(seed, ids[-1], dim)
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        engine.make_streams(seed, ids, dim)
+
+
 class TestInitPositions:
     def test_vector_tiles_across_lanes(self):
         pos = engine._init_positions(np.array([1.0, 2.0]), 3, 2)

@@ -130,6 +130,34 @@ def test_a_potential_model_needs_an_integer_dimension(dim):
         PotentialModel(dim, QUAD.value_fn, QUAD.gradient_fn, QUAD.profile, np.zeros(1))
 
 
+@pytest.mark.parametrize("dim", [True, 2.0, 0])
+@pytest.mark.parametrize(
+    "build",
+    [make_quadratic, lambda dim: make_power(dim, 0.75), lambda dim: NoiseStream(0, 0, dim),
+     lambda dim: engine.make_streams(3, [0, 1], dim)],
+    ids=["make_quadratic", "make_power", "NoiseStream", "make_streams"],
+)
+def test_every_dimension_rule_refuses_a_bool_a_float_and_zero(build, dim):
+    with pytest.raises(InvalidParameterError, match="^dim must be a positive integer"):
+        build(dim)
+
+
+def test_a_numpy_integer_dimension_gives_the_bits_of_the_python_int():
+    wide, plain = np.int64(D), D
+    for make in (lambda d: make_quadratic(d, center=0.2, scale=1.5), lambda d: make_power(d, 0.75)):
+        model, want = make(wide), make(plain)
+        assert type(model.dim) is int and model.dim == D
+        x = np.linspace(-1.0, 2.0, 4 * D).reshape(4, D)
+        assert model.gradient_fn(x).tobytes() == want.gradient_fn(x).tobytes()
+        assert model.value(x).tobytes() == want.value(x).tobytes()
+    stream = NoiseStream(4, 7, wide)
+    assert type(stream.dim) is int
+    assert stream.normals(5).tobytes() == NoiseStream(4, 7, plain).normals(5).tobytes()
+    got, want = engine.make_streams(3, [0, 1], wide), engine.make_streams(3, [0, 1], plain)
+    assert all(type(s.dim) is int for s in got)
+    assert [s.normals(5).tobytes() for s in got] == [s.normals(5).tobytes() for s in want]
+
+
 @pytest.mark.parametrize("dim", [2.7, True, 0])
 def test_a_noise_stream_needs_an_integer_dimension(dim):
     with pytest.raises(InvalidParameterError, match="^dim must be a positive integer"):
