@@ -590,7 +590,9 @@ def decreasing_penalization_gap(
     exp(-2 alpha t) * xy_dist2 + (alpha - alpha_tilde) d sigma^2 / alpha_tilde.
     """
 
-    if not alpha > alpha_tilde > 0.0:
+    _check_positive("alpha", alpha)
+    _check_positive("alpha_tilde", alpha_tilde)
+    if not alpha > alpha_tilde:
         raise InvalidParameterError(
             f"need alpha > alpha_tilde > 0, got alpha={alpha}, alpha_tilde={alpha_tilde}"
         )

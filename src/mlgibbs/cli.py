@@ -386,12 +386,15 @@ def prepare_run(config: ExperimentConfig, epsilon: Optional[float] = None) -> Ru
         gamma0 = config.gamma0 if config.gamma0 is not None else min(bound, epsilon)
         schedule = calibrate_single_level(epsilon, config.sigma, target.dim, gamma0)
 
-    schedule = build_schedule(
+    # the horizons depend on epsilon, so the scaled horizons and tau are
+    # checked only here
+    schedule = _checked(
+        "safety_T_multiplier",
+        build_schedule,
         schedule.gamma[0],
         [config.safety_T_multiplier * t for t in schedule.T],
         rho=schedule.rho,
     )
-    # the horizons depend on epsilon, so tau is checked against them only here
     schedule = _checked("tau", replace, schedule, tau=config.tau)
     return RunSetup(
         sim_model=sim_model,

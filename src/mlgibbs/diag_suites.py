@@ -198,6 +198,4 @@ SUITES: Dict[str, Callable[[int], SuiteResult]] = {
 
 
 def run_suite(name: str, seed: int) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name](seed)

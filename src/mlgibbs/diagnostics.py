@@ -40,7 +40,8 @@ from .errors import (
 from .estimator import STREAM_LEVEL_SPAN, BatchResult, run_replicates, stream_id_for
 from .observables import OBS_COORD, OBS_NORM, OBS_NORM2, OBS_NORM4, obs_code
 from .potentials import (
-    FAMILY_QUADRATIC, PotentialModel, _as_point, _check_positive, _sum_sq, penalize,
+    FAMILY_QUADRATIC, PotentialModel, _as_point, _check_nonnegative, _check_positive, _sum_sq,
+    penalize,
 )
 
 __all__ = [
@@ -96,6 +97,9 @@ class ReferenceValue:
     error_estimate: float
 
     def __post_init__(self):
+        # a NaN value makes every error against it NaN, which passes any bound
+        if not math.isfinite(self.value):
+            raise InvalidParameterError(f"reference value must be finite, got {self.value}")
         if self.method not in ("closed_form", "quadrature_1d", "long_run_oracle"):
             raise InvalidParameterError(f"unknown reference method {self.method!r}")
         if not (math.isfinite(self.error_estimate) and self.error_estimate >= 0.0):
@@ -612,10 +616,8 @@ def moment_envelope_check(
     envelope.
     """
 
-    if p < 0.0:
-        raise InvalidParameterError(f"moment power must be nonnegative, got {p}")
-    if c_margin <= 0.0:
-        raise InvalidParameterError(f"c_margin must be positive, got {c_margin}")
+    _check_nonnegative("p", p)
+    _check_positive("c_margin", c_margin)
     n = _probe_steps(model, sigma, gamma, horizon, R)
     psi = regime_constants(model.profile, model.dim, sigma).psi_bar
     x0 = _as_point(x0, model.dim, "x0")

@@ -111,15 +111,18 @@ def _chunk_steps(R: int, d: int) -> int:
 
 def make_streams(seed: int, stream_ids: Sequence[int], dim: int) -> List[NoiseStream]:
     """NoiseStream(seed, sid, dim) for each sid, bit for bit, with the seeding
-    hash of all the ids computed in one vectorized pass."""
+    hash of all the ids computed in one vectorized pass; a seed or id of
+    2**64 or more, which the hash does not cover, takes NoiseStream itself."""
 
     _check_nonnegative_integer(seed, "seed")
     ids = list(stream_ids)
     for sid in ids:
         _check_nonnegative_integer(sid, "stream_id")
     _check_dimension(dim, "dim")
-    ids = [int(sid) for sid in ids]
-    words = _seed_words(int(seed), ids)
+    seed, ids = int(seed), [int(sid) for sid in ids]
+    if (seed | max(ids, default=0)) >> 64:
+        return [NoiseStream(seed, sid, dim) for sid in ids]
+    words = _seed_words(seed, ids)
     return [NoiseStream._from_words(seed, sid, dim, w) for sid, w in zip(ids, words)]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import engine
 from .calibration import LevelSchedule, _check_step_size, _coarse_grids
 from .errors import InvalidParameterError
-from .potentials import PotentialModel, _check_positive
+from .potentials import PotentialModel, _check_nonnegative_integer, _check_positive
 
 __all__ = [
     "STREAM_LEVEL_SPAN",
@@ -44,10 +44,8 @@ STREAM_LEVEL_SPAN = 1 << 20
 
 def stream_id_for(replicate_id: int, level: int) -> int:
     """Noise-stream id of one (replicate, level) pair.  Stable contract."""
-    if replicate_id < 0 or level < 0:
-        raise InvalidParameterError(
-            f"replicate_id and level must be nonnegative, got {replicate_id}, {level}"
-        )
+    _check_nonnegative_integer(replicate_id, "replicate_id")
+    _check_nonnegative_integer(level, "level")
     if level >= STREAM_LEVEL_SPAN:
         raise InvalidParameterError(f"level {level} exceeds the stream id span")
     return replicate_id * STREAM_LEVEL_SPAN + level

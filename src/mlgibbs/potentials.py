@@ -118,16 +118,21 @@ class ConvexityProfile:
                 raise InvalidParameterError(
                     f"parametric profiles require L >= 1, got L={self.L}"
                 )
-            if self.c_lower is None or not self.c_lower > 0.0:
-                raise InvalidParameterError("c_lower must be positive for parametric profiles")
+            if self.c_lower is None:
+                raise InvalidParameterError("c_lower must be present for parametric profiles")
+            _check_positive("c_lower", self.c_lower)
             if self.r is None or not 0.0 <= self.r < 1.0:
                 raise InvalidParameterError(f"r must lie in [0, 1), got {self.r}")
         if self.kind is Convexity.PARAMETRIC_TWO_SIDED:
-            if self.c_upper is None or self.c_upper < self.c_lower:
-                raise InvalidParameterError("c_upper must be present and >= c_lower")
+            if self.c_upper is None:
+                raise InvalidParameterError("c_upper must be present for two-sided profiles")
+            _check_positive("c_upper", self.c_upper)
+            if self.c_upper < self.c_lower:
+                raise InvalidParameterError(
+                    f"c_upper must be >= c_lower, got {self.c_upper} < {self.c_lower}"
+                )
         if self.kind is Convexity.STRONGLY_CONVEX:
-            if not self.alpha > 0.0:
-                raise InvalidParameterError("strongly convex profiles require alpha > 0")
+            _check_positive("alpha", self.alpha)
         elif self.alpha != 0.0:
             raise InvalidParameterError("alpha must be 0 unless the profile is strongly convex")
 

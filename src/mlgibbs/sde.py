@@ -11,6 +11,11 @@ fine vectors z1, z2, the fine path advances twice with step gamma / 2, and the
 coarse path receives the same two noise increments in the same order, so the
 coarse Brownian increment is exactly the sum of the two fine ones.
 
+A stream is PCG64 seeded by SeedSequence([seed, stream_id]).  _seed_words
+computes those seeds for many ids in one vectorized pass, for seeds and ids
+below 2**64, which fill at most SeedSequence's 4-word entropy pool;
+engine.make_streams gives a wider seed or id to SeedSequence itself.
+
 simulate_path and simulate_coupled step one point at a time and return position
 arrays: the batched engine is tested bit for bit against them, so this module
 imports none of engine, estimator or diagnostics.
@@ -88,35 +93,24 @@ class NoiseStream:
         )
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), all uint32
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), all uint32: the
+# successive constants init, init * mult, ... of mix_entropy (4 to fill the
+# pool, 12 to cross-mix it, one more as the last multiplier) and of
+# generate_state (8 words, one more), as read-only columns
 _MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
+_HASH_A = np.cumprod([0x43B0D7E5] + [0x931E8875] * 16, dtype=np.uint32)[:, None]
+_HASH_B = np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)[:, None]
+_HASH_A.flags.writeable = _HASH_B.flags.writeable = False
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-@functools.cache
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    # the successive hash constants init, init * mult, ... as a (count, 1)
-    # column; shared between calls, so read only
-    consts = [init]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult & _MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
-
-
-def _word_count(n: int) -> int:
-    # the 32-bit words SeedSequence splits n into, little-endian: one for 0
-    return max(1, (n.bit_length() + 31) // 32)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    r ^= r >> 16
-    return r
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # numpy's hashmix of each row of v with the successive constants consts
+    v = v ^ consts[:-1]
+    v *= consts[1:]
+    v ^= v >> 16
+    return v
 
 
 def _seed_words(seed: int, stream_ids: List[int]) -> np.ndarray:
@@ -126,54 +120,30 @@ def _seed_words(seed: int, stream_ids: List[int]) -> np.ndarray:
     numpy's words, computed for all the ids at once: SeedSequence hashes its
     entropy words with constants that do not depend on the data, so each of
     its uint32 operations runs on a column of all the ids.  seed and the ids
-    are nonnegative Python ints.
+    are Python ints in [0, 2**64), so the seed's one or two 32-bit words and
+    the id's low and high words fill at most the 4-word pool, where a word
+    past the entropy hashes as a zero word; wider entropy is left to
+    SeedSequence itself.
     """
 
-    n = len(stream_ids)
-    head = [(seed >> (32 * k)) & _MASK32 for k in range(_word_count(seed))]
-    wide = _word_count(max(stream_ids, default=0))
-    try:
-        ids = np.array(stream_ids, dtype=np.uint64)
-    except OverflowError:  # an id of 2**64 or more: Python ints
-        ids = np.array(stream_ids, dtype=object)
-    # entropy word k of every id, zero past an id's own words; a row is as
-    # long as its seed words and id words together
-    entropy = np.zeros((max(_POOL, len(head) + wide), n), dtype=np.uint32)
-    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    length = np.full(n, len(head) + 1)
-    for k in range(wide):
-        entropy[len(head) + k] = (ids >> (32 * k)) & _MASK32
-        if k:
-            length += ids >= 1 << (32 * k)
-    # mix_entropy: pool word i hashes entropy word i, or 0 past the entropy;
-    # each pool word then mixes in every other one, each source updating the
-    # three other words from its own fixed value; the entropy past the pool
-    # mixes into all four, in rows that have it
-    tail = len(entropy) - _POOL
-    hc = _hash_consts(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1) + _POOL * tail + 1)
-
-    def hashmix(v, c):
-        v = v ^ hc[c:c + len(v)]
-        v *= hc[c + 1:c + 1 + len(v)]
-        v ^= v >> 16
-        return v
-
-    pool = hashmix(entropy[:_POOL], 0)
-    c = _POOL
+    ids = np.array(stream_ids, dtype=np.uint64)
+    head = 2 if seed > _MASK32 else 1
+    entropy = np.zeros((_POOL, len(ids)), dtype=np.uint32)
+    entropy[:head] = np.array([seed & _MASK32, seed >> 32][:head], dtype=np.uint32)[:, None]
+    entropy[head] = ids & _MASK32
+    entropy[head + 1] = ids >> 32
+    # mix_entropy: pool word i hashes entropy word i, then each pool word in
+    # turn mixes into the three others
+    pool = _hashmix(entropy, _HASH_A[:_POOL + 1])
     for src in range(_POOL):
         dst = [i for i in range(_POOL) if i != src]
-        pool[dst] = _mix(pool[dst], hashmix(pool[[src] * len(dst)], c))
-        c += len(dst)
-    for k in range(_POOL, len(entropy)):
-        mixed = _mix(pool, hashmix(np.broadcast_to(entropy[k], pool.shape), c))
-        c += _POOL
-        pool = np.where(length > k, mixed, pool)
+        c = _POOL + 3 * src
+        mixed = pool[dst] * _MIX_MULT_L - _hashmix(pool[src], _HASH_A[c:c + 4]) * _MIX_MULT_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
     # generate_state(4, np.uint64): 8 uint32 words cycling over the pool,
     # paired little-endian
-    hc = _hash_consts(_INIT_B, _MULT_B, 9)
-    state = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hc[:8]
-    state *= hc[1:]
-    state ^= state >> 16
+    state = _hashmix(np.concatenate([pool, pool]), _HASH_B)
     words = state[1::2].astype(np.uint64) << np.uint64(32) | state[0::2]
     return np.ascontiguousarray(words.T)
 

@@ -329,3 +329,11 @@ class TestDecreasingPenalizationGap:
             decreasing_penalization_gap(0.2, 0.2, 1, 1.0, 1.0, 4.0)
         with pytest.raises(InvalidParameterError):
             decreasing_penalization_gap(0.1, 0.2, 1, 1.0, 1.0, 4.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_ridge_is_refused_by_name(self, value):
+        # an infinite alpha satisfies alpha > alpha_tilde but gives a NaN bound
+        with pytest.raises(InvalidParameterError, match="^alpha must be positive and finite"):
+            decreasing_penalization_gap(value, 0.1, 1, 1.0, 0.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="^alpha_tilde must be positive and finite"):
+            decreasing_penalization_gap(0.2, value, 1, 1.0, 0.0, 1.0)

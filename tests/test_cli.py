@@ -9,10 +9,19 @@ import time
 import numpy as np
 import pytest
 
-from mlgibbs import ConfigError, ConvergenceError, cli, diagnostics, potentials
+from mlgibbs import (
+    ConfigError,
+    ConvergenceError,
+    InvalidParameterError,
+    cli,
+    diagnostics,
+    engine,
+    potentials,
+)
 from mlgibbs.cli import (
     EXIT_CONFIG,
     EXIT_EPS_ASSERT,
+    EXIT_FAIL,
     EXIT_INFEASIBLE,
     EXIT_OK,
     cmd_calibrate,
@@ -644,6 +653,68 @@ class TestMainEntry:
         assert captured.err == (
             "config error: tau=1000000.0 must lie in [0, min_j T[j]) (field: tau)\n"
         )
+
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    def test_horizons_scaled_to_zero_name_the_multiplier(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # 1e-300 is a valid positive multiplier, but the scaled horizons
+        # underflow to 0, which only calibration finds
+        def never(*args, **kwargs):
+            raise AssertionError("ran the oracle despite vanishing horizons")
+
+        monkeypatch.setattr(cli, "reference_for", never)
+        raw = base_config(method="single_level", epsilon=0.5, safety_T_multiplier=1e-300)
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: T[0] must be positive and finite, got 0.0 "
+            "(field: safety_T_multiplier)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["calibrate", "run"])
+    def test_a_ladder_without_epsilon_exits_two_naming_epsilon(self, command, tmp_path, capsys):
+        # parse_config accepts a config with only epsilons, which sweep reads
+        raw = base_config(method="single_level", epsilons=[0.8, 0.4, 0.2])
+        del raw["epsilon"]
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: missing required config field 'epsilon' (field: epsilon)\n"
+        )
+
+    def test_diverged_lanes_exit_one(self, tmp_path, monkeypatch, capsys):
+        # no small config overflows, so the stub makes every lane non-finite
+        def diverged(model, f, x0, gamma, sigma, n_steps, n_burn, streams):
+            return np.full(len(streams), np.nan), np.zeros(len(streams), dtype=bool)
+
+        monkeypatch.setattr(engine, "occupation_sums", diverged)
+        raw = base_config(method="single_level", epsilon=0.5, replicates=5)
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", path]) == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical overflow: 5 of 5 replicates overflowed; aborting the experiment\n"
+        )
+
+    def test_an_invalid_parameter_past_the_config_exits_two(self, tmp_path, monkeypatch, capsys):
+        # every config value is checked under its field name, so the stub
+        # raises from the oracle
+        def refused(*args, **kwargs):
+            raise InvalidParameterError("sigma must be positive and finite, got 0.0")
+
+        monkeypatch.setattr(cli, "reference_for", refused)
+        raw = base_config(method="single_level", epsilon=0.5, replicates=5)
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid parameter: sigma must be positive and finite, got 0.0\n"
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_the_reference_is_built_once_per_command(

@@ -1,5 +1,7 @@
 """Reference oracles, error curves, and the MSE experiment harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,12 @@ class TestReferenceValue:
     def test_negative_error_rejected(self):
         with pytest.raises(InvalidParameterError):
             ReferenceValue(1.0, "closed_form", -1e-3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_rejected(self, value):
+        # a NaN reference makes the rmse NaN, which no accuracy bound refuses
+        with pytest.raises(InvalidParameterError, match="^reference value must be finite"):
+            ReferenceValue(value, "closed_form", 0.0)
 
 
 class TestClosedFormReferences:
@@ -347,6 +355,19 @@ class TestMomentEnvelope:
         with pytest.raises(InvalidParameterError):
             moment_envelope_check(
                 power1, 1.0, np.zeros(1), 0.05, 2.0, 5.0, R=10, seed=6, c_margin=0.0
+            )
+
+    def test_an_infinite_margin_is_refused(self, power1):
+        # an infinite envelope holds every chain, with max_ratio 0.0
+        with pytest.raises(InvalidParameterError, match="^c_margin must be positive and finite"):
+            moment_envelope_check(
+                power1, 1.0, np.zeros(1), 0.05, 2.0, 5.0, R=10, seed=6, c_margin=math.inf
+            )
+
+    def test_a_nan_power_is_refused(self, power1):
+        with pytest.raises(InvalidParameterError, match="^p must be nonnegative and finite"):
+            moment_envelope_check(
+                power1, 1.0, np.zeros(1), 0.05, math.nan, 5.0, R=10, seed=6, c_margin=8.0
             )
 
 

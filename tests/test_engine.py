@@ -22,7 +22,7 @@ from mlgibbs import (
     simulate_path,
     squared_norm,
 )
-from mlgibbs import engine
+from mlgibbs import engine, sde
 
 
 def uncoded(f):
@@ -50,7 +50,8 @@ def test_make_streams_assigns_ids_in_order():
 
 
 # ids of one, two and three 32-bit words in one call, and seeds of one to four:
-# seed and id words past numpy's 4-word pool take SeedSequence's tail mixing
+# seeds and ids below 2**64 fill at most numpy's 4-word entropy pool and take
+# the vectorized hash, wider ones take SeedSequence itself
 MIXED_IDS = [0, 2**32 - 1, 2**32, 2**33 + 7] + [2**20 * r + j for r in (1, 3, 99) for j in (0, 5)]
 
 
@@ -71,10 +72,30 @@ def test_make_streams_of_no_ids_is_empty():
     assert engine.make_streams(7, range(0), 2) == []
 
 
-def test_preset_seed_words_serve_only_pcg64s_request():
-    seed_seq = engine.make_streams(7, [3], 2)[0]._gen.bit_generator.seed_seq
+# seeds and ids of one and two 32-bit words, at the edges of each width and
+# in the stream layout r * 2**20 + j
+HASH_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1] + [
+    int(s) for s in np.random.default_rng(2027).integers(0, 2**63, size=20)
+]
+HASH_IDS = [0, 2**32 - 1, 2**32, 2**33 + 7, 2**64 - 1] + [
+    2**20 * r + j for r in (0, 1, 99, 4095, 4096, 2**40) for j in (0, 5, 2**20 - 1)
+]
+
+
+def test_seed_words_are_seed_sequences_words():
+    for seed in HASH_SEEDS:
+        words = sde._seed_words(seed, HASH_IDS)
+        assert words.shape == (len(HASH_IDS), 4) and words.dtype == np.uint64
+        for row, sid in zip(words, HASH_IDS):
+            want = np.random.SeedSequence([seed, sid]).generate_state(4, np.uint64)
+            assert row.tolist() == want.tolist(), (seed, sid)
+
+
+@pytest.mark.parametrize("seed, sid", [(7, 3), (2**32 + 7, 2**33 + 3), (2**64 - 1, 2**64 - 1)])
+def test_preset_seed_words_serve_only_pcg64s_request(seed, sid):
+    seed_seq = engine.make_streams(seed, [sid], 2)[0]._gen.bit_generator.seed_seq
     assert seed_seq.generate_state(4, np.uint64).tolist() == (
-        np.random.SeedSequence([7, 3]).generate_state(4, np.uint64).tolist()
+        np.random.SeedSequence([seed, sid]).generate_state(4, np.uint64).tolist()
     )
     for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
         with pytest.raises(ValueError, match="^preset seed words are 4 uint64"):

@@ -49,6 +49,27 @@ class TestStreamLayout:
         with pytest.raises(InvalidParameterError):
             stream_id_for(0, STREAM_LEVEL_SPAN)
 
+    @pytest.mark.parametrize("bad", [True, 1.5, -1], ids=["bool", "float", "negative"])
+    def test_a_replicate_id_or_level_is_a_nonnegative_integer(self, bad):
+        # True * 2**20 + 3 is replicate 1's stream id, and a refused float is
+        # named as the caller gave it, not as the stream id derived from it
+        with pytest.raises(
+            InvalidParameterError, match=f"^replicate_id must be a nonnegative integer, got {bad}$"
+        ):
+            stream_id_for(bad, 3)
+        with pytest.raises(
+            InvalidParameterError, match=f"^level must be a nonnegative integer, got {bad}$"
+        ):
+            stream_id_for(3, bad)
+
+    def test_run_replicates_names_a_bad_replicate_id(self, quad1):
+        with pytest.raises(
+            InvalidParameterError, match="^replicate_id must be a nonnegative integer, got 1.5$"
+        ):
+            run_replicates(
+                quad1, squared_norm, build_schedule(0.1, [0.8, 0.8]), 1.0, 0.0, 3, [0, 1.5]
+            )
+
     def test_level_values_equal_direct_driver_calls(self, power1):
         """Level j of replicate r reads stream r * 2**20 + j; level 0 is the
         chain on gamma[0], level j >= 1 the pair on coarse step gamma[j-1]."""

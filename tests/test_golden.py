@@ -9,6 +9,7 @@ row-sum goldens before every |x|^2 row sum went through one helper.  Any
 change to the floating-point operations shows up here as a changed bit.
 """
 
+import hashlib
 import json
 import warnings
 
@@ -44,6 +45,25 @@ from mlgibbs.potentials import (
     make_quadratic,
     penalize,
 )
+
+# The goldens pass with numpy 2.4.6 on an x86-64 host whose
+# numpy.show_runtime() lists the SIMD baseline X86_V2 and the dispatched
+# targets X86_V3, X86_V4 (AVX512_SKX), AVX512_ICL and AVX512_SPR.  numpy picks
+# its array pow loop by these, and the power-family goldens hold only for the
+# loop that host runs; the digest below is that loop's w ** -0.25, which on
+# the same host with AVX512 disabled differs in the last bit on about 6% of
+# the points.
+POW_DIGEST = "5fe4d1a7a45ecd34750b680aa25a480f19554c9700b4b37948a367d80d52a5cb"
+
+
+def test_array_pow_rounds_as_on_the_goldens_host():
+    w = np.linspace(1, 50, 100_000) ** -0.25
+    assert hashlib.sha256(w.tobytes()).hexdigest() == POW_DIGEST, (
+        "numpy's CPU dispatch picked an array pow loop that rounds unlike the "
+        "one the goldens were recorded with, so the power-family goldens here "
+        "differ too; see README \"Determinism\" and numpy.show_runtime()"
+    )
+
 
 _HEADER = (
     "method,potential,dim,sigma,epsilon,J,gamma0,T0,tau,R,seed,"

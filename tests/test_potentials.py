@@ -1,5 +1,6 @@
 """Potential models: values, gradients, curvature envelopes, validation."""
 
+import math
 import time
 
 import numpy as np
@@ -193,6 +194,21 @@ def test_penalized_gradient_is_strongly_monotone(rng):
 def test_profile_validation_rejects_inconsistent_constants(kwargs):
     with pytest.raises(InvalidParameterError):
         ConvexityProfile(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["c_lower", "c_upper", "alpha"])
+def test_a_non_finite_profile_constant_is_refused_by_name(name, value):
+    # a NaN c_upper satisfies no comparison with c_lower, and would make the
+    # step bound NaN, which no step size exceeds
+    if name == "alpha":
+        base = dict(kind=Convexity.STRONGLY_CONVEX, L=2.0, alpha=1.0)
+    else:
+        base = dict(
+            kind=Convexity.PARAMETRIC_TWO_SIDED, L=1.5, c_lower=0.75, c_upper=1.0, r=1 / 3
+        )
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be positive and finite"):
+        ConvexityProfile(**{**base, name: value})
 
 
 def test_profile_accepts_the_boundary_cases():
