@@ -346,7 +346,6 @@ def long_run_reference(
     stream_id_for(k, STREAM_LEVEL_SPAN - 1) under seed.
     """
 
-    _check_positive("sigma", sigma)
     bound = step_bound(model.profile)
     gamma = bound / 64.0
     n_total = grid_count_up(1e5 * bound, gamma)
@@ -457,22 +456,10 @@ def run_mse_experiment(
     )
 
 
-def _probe_steps(
-    model: PotentialModel,
-    sigma: float,
-    gamma: float,
-    horizon: float,
-    R: int,
-    min_lanes: int = 2,
-) -> int:
-    """Check a probe's lane count, sigma, step and horizon; return its steps.
-
-    The horizon is rounded up to the step grid.
-    """
+def _probe_steps(gamma: float, horizon: float, R: int, min_lanes: int = 2) -> int:
+    """Check a probe's lane count; return its steps, the horizon rounded up to the grid."""
     if R < min_lanes:
         raise InvalidParameterError(f"need at least {min_lanes} lanes, got {R}")
-    _check_positive("sigma", sigma)
-    _check_step_size(model, gamma)
     return grid_count_up(horizon, gamma)
 
 
@@ -518,13 +505,13 @@ def strong_error_curve(
     square, and squared) against the step size on log-log axes.
     """
 
-    if len(gammas) < 2:
-        raise InvalidParameterError("need at least two step sizes for a slope")
+    if len(set(gammas)) < max(2, len(gammas)):
+        raise InvalidParameterError(f"gammas must be two or more distinct steps, got {gammas}")
     from .observables import squared_norm
 
     msds, ses = [], []
     for i, gamma in enumerate(gammas):
-        n = _probe_steps(model, sigma, gamma, horizon, R)
+        n = _probe_steps(gamma, horizon, R)
         streams = engine.make_streams(
             seed, [stream_id_for(i, lane) for lane in range(R)], model.dim
         )
@@ -577,7 +564,7 @@ def confluence_curve(
 ) -> ConfluenceCurve:
     """Track E|X^x_t - X^y_t|^2 for chains sharing their noise."""
 
-    n = _probe_steps(model, sigma, gamma, horizon, R, min_lanes=1)
+    n = _probe_steps(gamma, horizon, R, min_lanes=1)
     x, y = _as_point(x, model.dim, "x"), _as_point(y, model.dim, "y")
     streams = engine.make_streams(seed, list(range(R)), model.dim)
     series, _, _ = engine.pair_distance_series(
@@ -618,7 +605,7 @@ def moment_envelope_check(
 
     _check_nonnegative("p", p)
     _check_positive("c_margin", c_margin)
-    n = _probe_steps(model, sigma, gamma, horizon, R)
+    n = _probe_steps(gamma, horizon, R)
     psi = regime_constants(model.profile, model.dim, sigma).psi_bar
     x0 = _as_point(x0, model.dim, "x0")
     u0 = float(model.value(x0[None, :])[0])
@@ -718,7 +705,9 @@ def decreasing_penalization_probe(
     small step and compare with SLACK_FRACTION slack.
     """
 
-    n = _probe_steps(model, sigma, gamma, horizon, R)
+    # the driver checks only the penalized models, which are not parametric
+    _check_step_size(model, gamma)
+    n = _probe_steps(gamma, horizon, R)
     x, y = _as_point(x, model.dim, "x"), _as_point(y, model.dim, "y")
     dist0 = float(_sum_sq(x - y))
     t_end = n * gamma

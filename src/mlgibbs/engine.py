@@ -65,7 +65,6 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .potentials import (
     PotentialModel,
     _as_point,
@@ -73,7 +72,7 @@ from .potentials import (
     _check_nonnegative_integer,
     _sum_sq,
 )
-from .sde import NoiseStream, _seed_words
+from .sde import NoiseStream, _check_path_args, _seed_words
 
 BACKEND = "numpy"
 HAVE_NUMBA = False  # always False; perfbench/child.py still reads it
@@ -325,11 +324,6 @@ def _init_positions(x0, R: int, d: int, name: str = "x0") -> np.ndarray:
     return np.tile(_as_point(x0, d, name), (R, 1))
 
 
-def _check_window(n_burn: int, n: int):
-    if not 0 <= n_burn < n:
-        raise InvalidParameterError(f"empty averaging window: burn {n_burn} of {n} steps")
-
-
 def occupation_sums(
     model: PotentialModel,
     f: Callable,
@@ -346,8 +340,7 @@ def occupation_sums(
     has ok False.  Each lane consumes exactly n_steps vectors from its stream.
     """
 
-    R, d = len(streams), model.dim
-    _check_window(n_burn, n_steps)
+    R, d = _check_path_args(model, gamma, sigma, n_steps, streams, n_burn)
     pos = _init_positions(x0, R, d)
     acc = np.zeros(R)
     record = _window_sum(_batched_observable(f, d), n_burn, acc)
@@ -374,8 +367,7 @@ def coupled_diff_sums(
     exactly 2 * n_coarse vectors from its stream.
     """
 
-    R, d = len(streams), model.dim
-    _check_window(n_burn, n_coarse)
+    R, d = _check_path_args(model, gamma, sigma, n_coarse, streams, n_burn, steps_name="n_coarse")
     start = _init_positions(x0, R, d)
     pair = np.stack((start, start))  # fine, coarse
     acc = np.zeros(R)
@@ -403,7 +395,7 @@ def pair_distance_series(
     time k * gamma, length n_steps + 1.
     """
 
-    R, d = len(streams), model_a.dim
+    R, d = _check_path_args(model_a, gamma, sigma, n_steps, streams, model_b=model_b)
     pair = np.stack((_init_positions(x0_a, R, d, "x0_a"), _init_positions(x0_b, R, d, "x0_b")))
     grad_a, grad_b = model_a.gradient_fn, model_b.gradient_fn
     step_size, scratch = np.array(gamma, dtype=float), np.empty((R, d))
@@ -434,7 +426,7 @@ def value_power_series(
 ) -> np.ndarray:
     """Lane average of U(X)^p_mom along the chain; length n_steps + 1."""
 
-    R, d = len(streams), model.dim
+    R, d = _check_path_args(model, gamma, sigma, n_steps, streams)
     return _lane_mean_series(
         _init_positions(x0, R, d), streams, n_steps, sigma * math.sqrt(gamma),
         _chain_step(model, gamma, R),

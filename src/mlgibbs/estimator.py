@@ -24,9 +24,9 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import engine
-from .calibration import LevelSchedule, _check_step_size, _coarse_grids
+from .calibration import LevelSchedule, _coarse_grids
 from .errors import InvalidParameterError
-from .potentials import PotentialModel, _check_nonnegative_integer, _check_positive
+from .potentials import PotentialModel, _check_nonnegative_integer
 
 __all__ = [
     "STREAM_LEVEL_SPAN",
@@ -123,11 +123,9 @@ def run_replicates(
     exactly, which is useful for degenerate-variance checks.
     """
 
-    _check_positive("sigma", sigma)
     R = len(replicate_ids)
     if R < 1:
         raise InvalidParameterError("need at least one replicate id")
-    _check_step_size(model, schedule.gamma[0])
 
     jobs = level_jobs(schedule)
     level_values = np.zeros((R, len(jobs)))

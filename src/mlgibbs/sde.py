@@ -31,7 +31,9 @@ import numpy as np
 
 from .calibration import _GRID_SNAP, _check_step_size, grid_count_up
 from .errors import InvalidParameterError, NumericalOverflowError
-from .potentials import PotentialModel, _as_point, _check_dimension, _check_nonnegative_integer
+from .potentials import (
+    PotentialModel, _as_point, _check_dimension, _check_nonnegative_integer, _check_positive,
+)
 
 __all__ = [
     "NoiseStream",
@@ -80,8 +82,7 @@ class NoiseStream:
         array of that shape, and it is returned; the values are those a
         draw without ``out`` would give.
         """
-        if count < 0:
-            raise InvalidParameterError(f"count must be nonnegative, got {count}")
+        _check_nonnegative_integer(count, "count")
         out = self._gen.standard_normal((count, self.dim), out=out)
         self.cursor += count
         return out
@@ -176,17 +177,34 @@ def euler_step(model: PotentialModel, x, gamma: float, sigma: float, z) -> np.nd
     return x - gamma * model.gradient(x) + sigma * math.sqrt(gamma) * z
 
 
-def _check_path_args(model: PotentialModel, x0, gamma: float, n_steps: int, noise: NoiseStream):
-    """The argument checks of both loops; returns x0 as a finite float array of shape (d,)."""
+def _check_path_args(model: PotentialModel, gamma: float, sigma: float, n_steps: int, streams,
+                     n_burn=None, steps_name="n_steps", model_b=None) -> Tuple[int, int]:
+    """The argument checks of every path simulation, made once on entry: the
+    step, for model and for model_b, a pair's second chain of the same
+    dimension; sigma; the count named steps_name and a burn-in that leaves a
+    nonempty window; and one or more noise streams of the model's dimension.
+    Returns the number of streams and the dimension."""
 
-    _check_step_size(model, gamma)
-    if n_steps < 0:
-        raise InvalidParameterError(f"step count must be nonnegative, got {n_steps}")
-    if noise.dim != model.dim:
+    for m in (model,) if model_b is None else (model, model_b):
+        _check_step_size(m, gamma)
+    _check_positive("sigma", sigma)
+    _check_nonnegative_integer(n_steps, steps_name)
+    if n_burn is not None:
+        if not 0 <= n_burn < n_steps:
+            raise InvalidParameterError(f"empty averaging window: burn {n_burn} of {n_steps} steps")
+        _check_nonnegative_integer(n_burn, "n_burn")
+    if model_b is not None and model_b.dim != model.dim:
         raise InvalidParameterError(
-            f"noise stream dimension {noise.dim} does not match model dimension {model.dim}"
+            f"model_b dimension {model_b.dim} does not match model_a dimension {model.dim}"
         )
-    return _as_point(x0, model.dim, "x0")
+    if len(streams) == 0:
+        raise InvalidParameterError("need at least one noise stream")
+    for stream in streams:
+        if stream.dim != model.dim:
+            raise InvalidParameterError(
+                f"noise stream dimension {stream.dim} does not match model dimension {model.dim}"
+            )
+    return len(streams), model.dim
 
 
 def simulate_path(
@@ -205,7 +223,8 @@ def simulate_path(
     of the step that made it.
     """
 
-    x = _check_path_args(model, x0, gamma, n_steps, noise)
+    _check_path_args(model, gamma, sigma, n_steps, [noise])
+    x = _as_point(x0, model.dim, "x0")
     path = np.empty((n_steps + 1, model.dim))
     path[0] = x
     for n in range(n_steps):
@@ -238,7 +257,8 @@ def simulate_coupled(
     the fine pair.
     """
 
-    xf = xc = _check_path_args(model, x0, gamma, n_coarse_steps, noise)
+    _check_path_args(model, gamma, sigma, n_coarse_steps, [noise], steps_name="n_coarse_steps")
+    xf = xc = _as_point(x0, model.dim, "x0")
     fine, coarse = np.empty((2, n_coarse_steps + 1, model.dim))
     fine[0] = coarse[0] = xf
     gamma_fine = 0.5 * gamma

@@ -1,5 +1,5 @@
-"""The shared input rules: start points, dimensions, seeds and stream ids, and the
-averaging window."""
+"""The shared input rules: start points, dimensions, seeds and stream ids, the
+averaging window, and the arguments every path simulation checks on entry."""
 
 import dataclasses
 import math
@@ -193,3 +193,115 @@ def test_both_window_drivers_refuse_an_empty_window_alike(driver, n_burn):
     message = f"^empty averaging window: burn {n_burn} of 8 steps$"
     with pytest.raises(InvalidParameterError, match=message):
         driver(QUAD, squared_norm, OTHER, 0.1, 1.0, 8, n_burn, _streams())
+
+
+def _lanes(dim=D, lanes=2):
+    return engine.make_streams(3, list(range(lanes)), dim)
+
+
+# entry -> (call(gamma, sigma, count, streams) with every other argument
+# valid, the count's name); the scalar reference takes the first stream
+PATH_ENTRIES = {
+    "occupation_sums": (
+        lambda g, s, n, st: engine.occupation_sums(QUAD, squared_norm, OTHER, g, s, n, 0, st),
+        "n_steps",
+    ),
+    "coupled_diff_sums": (
+        lambda g, s, n, st: engine.coupled_diff_sums(QUAD, squared_norm, OTHER, g, s, n, 0, st),
+        "n_coarse",
+    ),
+    "pair_distance_series": (
+        lambda g, s, n, st: engine.pair_distance_series(QUAD, POWER, OTHER, 0.3, g, s, n, st),
+        "n_steps",
+    ),
+    "value_power_series": (
+        lambda g, s, n, st: engine.value_power_series(POWER, OTHER, g, s, n, 1.5, st),
+        "n_steps",
+    ),
+    "simulate_path": (lambda g, s, n, st: simulate_path(QUAD, OTHER, g, s, n, st[0]), "n_steps"),
+    "simulate_coupled": (
+        lambda g, s, n, st: simulate_coupled(QUAD, OTHER, g, s, n, st[0]),
+        "n_coarse_steps",
+    ),
+}
+DRIVERS = [name for name in PATH_ENTRIES if not name.startswith("simulate_")]
+
+# case -> (gamma, sigma, count, stream dimension, message); {count} is the count's name
+NARROW, WIDE = D - 1, D + 1
+PATH_CASES = {
+    "streams-narrower": (
+        0.05, 1.0, 8, NARROW, f"noise stream dimension {NARROW} does not match model dimension {D}"
+    ),
+    "streams-wider": (
+        0.05, 1.0, 8, WIDE, f"noise stream dimension {WIDE} does not match model dimension {D}"
+    ),
+    "gamma-nan": (math.nan, 1.0, 8, D, "gamma must be positive and finite, got nan"),
+    "gamma-negative": (-0.05, 1.0, 8, D, "gamma must be positive and finite, got -0.05"),
+    "sigma-nan": (0.05, math.nan, 8, D, "sigma must be positive and finite, got nan"),
+    "sigma-negative": (0.05, -1.0, 8, D, "sigma must be positive and finite, got -1.0"),
+    "count-bool": (0.05, 1.0, True, D, "{count} must be a nonnegative integer, got True"),
+    "count-float": (0.05, 1.0, 10.0, D, "{count} must be a nonnegative integer, got 10.0"),
+}
+
+
+def test_every_path_simulation_is_in_the_argument_matrix():
+    # a driver added to engine.__all__ must take the shared check too
+    drivers = set(engine.__all__) - {"BACKEND", "make_streams"}
+    assert set(PATH_ENTRIES) == drivers | {"simulate_path", "simulate_coupled"}
+
+
+@pytest.mark.parametrize("case", PATH_CASES.values(), ids=list(PATH_CASES))
+@pytest.mark.parametrize("call, count", PATH_ENTRIES.values(), ids=list(PATH_ENTRIES))
+def test_a_path_simulation_refuses_a_bad_argument_by_name(call, count, case):
+    gamma, sigma, n, dim, message = case
+    with pytest.raises(InvalidParameterError, match=f"^{message.format(count=count)}$"):
+        call(gamma, sigma, n, _lanes(dim))
+
+
+@pytest.mark.parametrize("name", DRIVERS)
+def test_a_driver_refuses_an_empty_stream_list(name):
+    call, _ = PATH_ENTRIES[name]
+    with pytest.raises(InvalidParameterError, match="^need at least one noise stream$"):
+        call(0.05, 1.0, 8, [])
+
+
+def test_pair_distance_series_needs_two_models_of_one_dimension():
+    with pytest.raises(
+        InvalidParameterError, match="^model_b dimension 2 does not match model_a dimension 1$"
+    ):
+        engine.pair_distance_series(
+            make_power(1, 0.75), make_power(2, 0.75), 0.3, 0.3, 0.05, 1.0, 8, _lanes(1)
+        )
+
+
+@pytest.mark.parametrize("models", [(QUAD, POWER), (POWER, QUAD)], ids=["b", "a"])
+def test_pair_distance_series_checks_the_step_against_both_models(models):
+    # 0.2 is a valid step for QUAD and above POWER's admissible step 1/9
+    with pytest.raises(InvalidParameterError, match="^gamma=0.2 exceeds the admissible step"):
+        engine.pair_distance_series(*models, OTHER, 0.3, 0.2, 1.0, 8, _lanes())
+
+
+@pytest.mark.parametrize("driver", [engine.occupation_sums, engine.coupled_diff_sums])
+@pytest.mark.parametrize("n_burn", [True, 2.0])
+def test_both_window_drivers_refuse_a_bool_or_float_burn(driver, n_burn):
+    message = f"^n_burn must be a nonnegative integer, got {n_burn}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        driver(QUAD, squared_norm, OTHER, 0.1, 1.0, 8, n_burn, _streams())
+
+
+@pytest.mark.parametrize("count", [True, 1.5, -1])
+def test_a_noise_stream_draws_an_integer_count(count):
+    message = f"^count must be a nonnegative integer, got {count}$"
+    with pytest.raises(InvalidParameterError, match=message):
+        NoiseStream(3, 0, D).normals(count)
+
+
+def test_a_numpy_integer_count_draws_the_python_ints_bits():
+    got = NoiseStream(3, 0, D).normals(np.int64(4))
+    assert got.tobytes() == NoiseStream(3, 0, D).normals(4).tobytes()
+
+
+@pytest.mark.parametrize("gammas", [[0.1, 0.1, 0.1], [0.1, 0.05, 0.1], [0.1]])
+def test_strong_error_curve_needs_distinct_step_sizes(gammas):
+    with pytest.raises(InvalidParameterError, match="^gammas must be two or more distinct steps"):
+        strong_error_curve(QUAD, 1.0, OTHER, gammas, 0.4, 2, 3)
